@@ -4,8 +4,11 @@ Subcommands: tables, se, potential, thresholds, verify, sweep.  Options can
 come from a JSON config file (--config); explicit flags override file values.
 Every artifact embeds the resolved configuration, outputs are written
 atomically (temp file + rename), and identical configs produce byte-identical
-files.  A THREADS environment variable is accepted for compatibility but the
-computations are single-threaded by construction, so it never changes results.
+files.  A THREADS environment variable is accepted for compatibility and
+validated, but nothing reads it, so it never changes results.  The computations
+are not all single-threaded: the dense coupled-recursion matvecs run on the BLAS
+thread pool (set OPENBLAS_NUM_THREADS=1 to pin them).  The threshold numbers do
+not depend on that thread count.
 """
 
 from __future__ import annotations
@@ -213,7 +216,7 @@ def _threshold_row(cfg: RunConfig):
     r_u = amp_threshold_underlying(base, factory, cfg.tol_R, cfg.tol, cfg.max_iters)
     r_pot = potential_threshold(base, factory, cfg.tol_R, cfg.tol, cfg.max_iters)
     r_c = amp_threshold_coupled(base, cfg.Gamma, cfg.w, factory, cfg.tol_R,
-                                cfg.design_fn(), cfg.tol)
+                                cfg.design_fn(), cfg.tol, cfg.max_iters)
     return r_u, r_pot, r_c
 
 

@@ -79,10 +79,14 @@ def _uniform_words(seed: int, word_start: int, n_words: int) -> np.ndarray:
 
 
 def gaussian_block(seed: int, B: int, start: int, stop: int, antithetic: bool = False) -> np.ndarray:
-    """Rows start..stop-1 of the deterministic sample-by-sample normal stream."""
+    """Rows start..stop-1 of the deterministic sample-by-sample normal stream.
+
+    The (rows, B) block is column-major, so each component is one contiguous
+    column and section_stats reduces across components column by column.
+    """
     if not antithetic:
         u = _uniform_words(seed, start * B, (stop - start) * B).reshape(stop - start, B)
-        return ndtri(np.maximum(u, 1e-300))
+        return ndtri(np.maximum(u, 1e-300), order="F")
     # pairs (2k, 2k+1) share base row k with flipped sign
     b0, b1 = start // 2, (stop + 1) // 2
     u = _uniform_words(seed, b0 * B, (b1 - b0) * B).reshape(b1 - b0, B)
@@ -90,12 +94,12 @@ def gaussian_block(seed: int, B: int, start: int, stop: int, antithetic: bool = 
     out = np.repeat(base, 2, axis=0)
     signs = np.where((np.arange(2 * b0, 2 * b1) % 2) == 0, 1.0, -1.0)
     out *= signs[:, None]
-    return out[start - 2 * b0: stop - 2 * b0]
+    return np.asfortranarray(out[start - 2 * b0: stop - 2 * b0])
 
 
 def _scores(z: np.ndarray, sigma: float, B: int) -> np.ndarray:
     lb = math.log2(B)
-    u = z * (math.sqrt(lb) / sigma)
+    u = np.multiply(z, math.sqrt(lb) / sigma, order="F")
     u[:, 0] += lb / (sigma * sigma)
     return u
 
@@ -103,18 +107,22 @@ def _scores(z: np.ndarray, sigma: float, B: int) -> np.ndarray:
 def section_stats(z: np.ndarray, sigma: float, B: int) -> dict:
     """Per-sample squared error, entropy summand and true-component weight.
 
-    One softmax evaluation serves all three integrands:
-      mmse:    sum_i (f_i - s_i)^2 = sum f^2 - 2 f_1 + 1
-      entropy: log_B of the posterior-odds sum = (LSE(u) - u_1)/ln(B)
-      f1:      posterior weight of the transmitted component
+    One exp pass over the shifted scores e = exp(u - max u), done in place on
+    a column-major copy of the scores, serves all three integrands:
+      f1:      posterior weight of the transmitted component, e_1 / sum e
+      mmse:    sum_i (f_i - s_i)^2 = sum e^2 / (sum e)^2 - 2 f_1 + 1
+      entropy: log_B of the posterior-odds sum = (log sum e - (u_1 - max u))/ln(B)
     """
     u = _scores(z, sigma, B)
-    m = u.max(axis=1)
-    lse = m + np.log(np.exp(u - m[:, None]).sum(axis=1))
-    f = np.exp(u - lse[:, None])
-    sq = (f * f).sum(axis=1) - 2.0 * f[:, 0] + 1.0
-    ent = (lse - u[:, 0]) / math.log(B)
-    return {"mmse": sq, "entropy": ent, "f1": f[:, 0]}
+    u -= u.max(axis=1)[:, None]
+    u1 = u[:, 0].copy()
+    np.exp(u, out=u)
+    tot = u.sum(axis=1)
+    f1 = u[:, 0] / tot
+    np.square(u, out=u)
+    sq = u.sum(axis=1) / (tot * tot) - 2.0 * f1 + 1.0
+    ent = (np.log(tot) - u1) / math.log(B)
+    return {"mmse": sq, "entropy": ent, "f1": f1}
 
 
 def denoise_section(z, sigma_eff: float, B: int) -> np.ndarray:

@@ -93,12 +93,19 @@ class _Eval:
 
 def make_tables_factory(params: UnderlyingParams, mc: MCConfig | None = None,
                         n_points: int = 256):
-    """Per-rate table builder with a shared sample stream across rates."""
+    """Per-rate table builder with a shared sample stream across rates.
+
+    Tables are cached per rate for the factory's lifetime, so solvers that
+    share one factory build each candidate rate's tables only once.
+    """
     if mc is None:
         mc = MCConfig(seed=0, n_samples=default_n_samples(params.B))
+    built = {}
 
     def factory(R: float):
-        return build_tables(params.with_rate(R), mc, n_points=n_points)
+        if R not in built:
+            built[R] = build_tables(params.with_rate(R), mc, n_points=n_points)
+        return built[R]
 
     factory.mc = mc
     factory.n_points = n_points
@@ -219,9 +226,9 @@ def amp_threshold_underlying(params: UnderlyingParams, tables_factory=None,
                              max_iters: int = DEFAULT_MAX_ITERS) -> ThresholdReport:
     """Largest rate at which the worst-case start still reaches the floor.
 
-    params.R is ignored; the rate is the search variable.  Tables are rebuilt
-    for every candidate rate from the same sample stream, so the predicate
-    sees smooth curves in R.
+    params.R is ignored; the rate is the search variable.  Each candidate rate
+    gets its own tables from the same sample stream, so the predicate sees
+    smooth curves in R.
     """
     if tables_factory is None:
         tables_factory = make_tables_factory(params)

@@ -210,20 +210,24 @@ def nishimori_report(params: UnderlyingParams, mc: MCConfig,
     """MMSE equals one minus the mean true-component weight, same samples."""
     if E_grid is None:
         E_grid = np.linspace(0.0, 1.0, 16)
-    zmax = 0.0
-    details = []
-    for E in E_grid:
-        sig = sigma_underlying(float(E), params)
-        n = mc.n_samples
-        acc = acc2 = 0.0
-        for a, b in _chunks(n):
-            z = gaussian_block(mc.seed, params.B, a, b, mc.antithetic)
+    sigs = [sigma_underlying(float(E), params) for E in E_grid]
+    n = mc.n_samples
+    acc = [0.0] * len(sigs)
+    acc2 = [0.0] * len(sigs)
+    # chunk-outer: one Gaussian block serves every grid point, and each point
+    # still sums its chunks in stream order
+    for a, b in _chunks(n):
+        z = gaussian_block(mc.seed, params.B, a, b, mc.antithetic)
+        for i, sig in enumerate(sigs):
             st = section_stats(z, sig, params.B)
             d = st["mmse"] - (1.0 - st["f1"])
-            acc += float(d.sum())
-            acc2 += float((d * d).sum())
-        mean = acc / n
-        stderr = math.sqrt(max(acc2 / n - mean * mean, 0.0) / max(n - 1, 1))
+            acc[i] += float(d.sum())
+            acc2[i] += float((d * d).sum())
+    zmax = 0.0
+    details = []
+    for E, s, s2 in zip(E_grid, acc, acc2):
+        mean = s / n
+        stderr = math.sqrt(max(s2 / n - mean * mean, 0.0) / max(n - 1, 1))
         zscore = 0.0 if mean == 0.0 else abs(mean) / max(stderr, 1e-300)
         zmax = max(zmax, zscore)
         details.append({"E": float(E), "diff": mean, "stderr": stderr})
@@ -247,17 +251,19 @@ def i_mmse_report(params: UnderlyingParams, mc: MCConfig, sigma_grid=None,
         coefficient = params.log2B / (2.0 * LN2)
     lb = params.log2B
     n = mc.n_samples
-    details = []
-    passed = True
+    points = []
     for sig in sigma_grid:
         gamma = 1.0 / (sig * sig)
         sigs = {k: (gamma + x) ** -0.5 for k, x in
                 (("p", h), ("m", -h), ("p2", h / 2), ("m2", -h / 2))}
-        acc = {k: 0.0 for k in ("D", "D2", "sh", "sh2")}
-        for a, b in _chunks(n):
-            z = gaussian_block(mc.seed, params.B, a, b, mc.antithetic)
+        points.append((float(sig), sigs, {k: 0.0 for k in ("D", "D2", "sh", "sh2")}))
+    # chunk-outer: one Gaussian block serves every grid point, and each point
+    # still sums its chunks in stream order
+    for a, b in _chunks(n):
+        z = gaussian_block(mc.seed, params.B, a, b, mc.antithetic)
+        for sig, sigs, acc in points:
             ent = {k: section_stats(z, s, params.B)["entropy"] for k, s in sigs.items()}
-            m = section_stats(z, float(sig), params.B)["mmse"]
+            m = section_stats(z, sig, params.B)["mmse"]
             slope_h = lb * (ent["p"] - ent["m"]) / (2.0 * h)
             slope_h2 = lb * (ent["p2"] - ent["m2"]) / h
             D = slope_h + coefficient * m
@@ -265,13 +271,16 @@ def i_mmse_report(params: UnderlyingParams, mc: MCConfig, sigma_grid=None,
             acc["D2"] += float((D * D).sum())
             acc["sh"] += float(slope_h.sum())
             acc["sh2"] += float(slope_h2.sum())
+    details = []
+    passed = True
+    for sig, _, acc in points:
         mean_D = acc["D"] / n
         stderr_D = math.sqrt(max(acc["D2"] / n - mean_D ** 2, 0.0) / max(n - 1, 1))
         disc = (4.0 / 3.0) * abs(acc["sh"] / n - acc["sh2"] / n)
         tol_pt = 3.0 * stderr_D + disc
         ok = abs(mean_D) <= tol_pt
         passed = passed and ok
-        details.append({"sigma": float(sig), "slope_plus_c_mmse": mean_D,
+        details.append({"sigma": sig, "slope_plus_c_mmse": mean_D,
                         "stderr": stderr_D, "discretization": disc, "pass": ok})
     worst = max(abs(d["slope_plus_c_mmse"]) - d["discretization"] for d in details)
     return LemmaReport("i_mmse", passed, worst, "3*stderr+h^2 allowance", 0.0,

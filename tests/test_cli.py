@@ -155,6 +155,16 @@ def test_thresholds_row(tmp_path):
         assert rep["config"]["tol_R"] == 0.05
 
 
+def test_thresholds_max_iters_reaches_coupled_solve(tmp_path):
+    code = _run(tmp_path, "thresholds", "--B", "4", "--tol-R", "0.05",
+                "--gamma", "48", "--w", "2", "--max-iters", "100", *FAST)
+    assert code == 0
+    rep = json.loads((tmp_path / "threshold_coupled.json").read_text())
+    assert rep["config"]["max_iters"] == 100
+    iterations = [row["iterations"] for row in rep["metadata"]["history"]]
+    assert iterations and max(iterations) <= 100
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"B": 2, "seed": 7, "samples": 4000,

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from scse import (EntropyTable, MCConfig, MmseTable, UnderlyingParams,
                   build_tables, default_n_samples, denoise_section,
@@ -50,6 +51,48 @@ def test_gaussian_block_antithetic_pairing():
     # odd offsets still line up with the same pairing
     tail = gaussian_block(0, 3, 5, 10, antithetic=True)
     np.testing.assert_array_equal(tail, z[5:10])
+
+
+def test_gaussian_block_column_major_same_values():
+    # the block is the inverse normal CDF of consecutive Philox words, laid
+    # out row by row as (sample, component) and stored column-major
+    words = np.random.Generator(np.random.Philox(key=3)).random(100 * 4)
+    expected = ndtri(np.maximum(words.reshape(100, 4), 1e-300))
+    for start, stop in ((0, 100), (37, 100), (5, 6)):
+        z = gaussian_block(3, 4, start, stop)
+        assert z.flags.f_contiguous and z.shape == (stop - start, 4)
+        np.testing.assert_array_equal(z, expected[start:stop])
+    anti = gaussian_block(0, 3, 5, 10, antithetic=True)
+    assert anti.flags.f_contiguous and anti.shape == (5, 3)
+
+
+def _two_pass_stats(z, sigma, B):
+    """Plain log-sum-exp softmax: one exp for the normaliser, one for f."""
+    lb = math.log2(B)
+    u = np.array(z, dtype=float) * (math.sqrt(lb) / sigma)
+    u[:, 0] += lb / (sigma * sigma)
+    m = u.max(axis=1)
+    lse = m + np.log(np.exp(u - m[:, None]).sum(axis=1))
+    f = np.exp(u - lse[:, None])
+    return {"mmse": (f * f).sum(axis=1) - 2.0 * f[:, 0] + 1.0,
+            "entropy": (lse - u[:, 0]) / math.log(B), "f1": f[:, 0]}
+
+
+@pytest.mark.parametrize("B", [2, 4, 16, 32])
+def test_section_stats_matches_two_pass_softmax(B):
+    # sigmas span the table grids at snr 15: two decades below the floor's
+    # noise at R = C/256 up to two above the worst case at R = 4C
+    zf = gaussian_block(11, B, 0, 4000)
+    zc = np.ascontiguousarray(zf)
+    for sigma in np.geomspace(2e-4, 300.0, 13):
+        ref = _two_pass_stats(zc, float(sigma), B)
+        for z in (zc, zf):
+            before = z.copy()
+            got = section_stats(z, float(sigma), B)
+            np.testing.assert_array_equal(z, before)  # input left untouched
+            for key in ("mmse", "entropy", "f1"):
+                np.testing.assert_allclose(got[key], ref[key], rtol=0, atol=1e-12,
+                                           err_msg=f"{key} at sigma={sigma}")
 
 
 def test_denoise_section_matches_direct_softmax():

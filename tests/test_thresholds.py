@@ -7,6 +7,7 @@ from scse import (BracketingError, MCConfig, MonotonicityError,
                   UnderlyingParams, amp_threshold_coupled,
                   amp_threshold_underlying, capacity, large_B_limits,
                   make_tables_factory, potential_threshold)
+from scse import thresholds
 from scse.thresholds import _Eval, _ThresholdSearch
 
 SIGMA2 = 1.0 / 15.0
@@ -149,6 +150,40 @@ def test_amp_threshold_coupled_b4_small():
     # coupling must push the decodable rate well past the underlying threshold
     assert rep.value > ru.value + 0.02
     assert rep.metadata["Gamma"] == 48 and rep.metadata["w"] == 2
+
+
+def _three_solves(p, factories, tol_R):
+    ru = amp_threshold_underlying(p, factories[0], tol_R)
+    rp = potential_threshold(p, factories[1], tol_R)
+    rc = amp_threshold_coupled(p, Gamma=48, w=2, tables_factory=factories[2], tol_R=tol_R)
+    return ru, rp, rc
+
+
+def test_shared_factory_builds_each_rate_once(monkeypatch):
+    built = []
+    real = thresholds.build_tables
+
+    def counting(params, mc, *args, **kwargs):
+        built.append(params.R)
+        return real(params, mc, *args, **kwargs)
+
+    monkeypatch.setattr(thresholds, "build_tables", counting)
+    p = UnderlyingParams(B=4, R=1.0, sigma2=SIGMA2)
+    mc = MCConfig(seed=0, n_samples=20_000)
+    fac = make_tables_factory(p, mc, n_points=96)
+    shared = _three_solves(p, [fac] * 3, tol_R=0.01)
+    rates = {row["R"] for rep in shared for row in rep.metadata["history"]}
+    assert sorted(built) == sorted(rates)  # every distinct rate, once
+    # the three solves all start at C/2, so sharing must save builds
+    assert len(built) < sum(rep.evaluations for rep in shared)
+
+    # cached tables give the same reports as three independent factories
+    fresh = _three_solves(p, [make_tables_factory(p, mc, n_points=96) for _ in range(3)],
+                          tol_R=0.01)
+    for a, b in zip(shared, fresh):
+        assert (a.value, a.bracket_lo, a.bracket_hi) == (b.value, b.bracket_lo, b.bracket_hi)
+        assert a.metadata["history"] == b.metadata["history"]
+        assert a == b
 
 
 def test_threshold_search_fails_when_monostable_b2():
