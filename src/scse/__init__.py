@@ -2,11 +2,9 @@
 potential functions and threshold solvers for the underlying and spatially
 coupled ensembles, with a Monte-Carlo verification suite."""
 
-from .denoiser import (EntropyTable, Estimate, MCConfig, MmseTable,
-                       MonotoneTable, build_entropy_table, build_mmse_table,
-                       build_tables, default_n_samples, denoise_section,
-                       entropy_estimate, gaussian_block, isotonic_increasing,
-                       mmse_estimate)
+from .denoiser import (Estimate, MCConfig, MonotoneTable, build_tables,
+                       default_n_samples, denoise_section, entropy_estimate,
+                       gaussian_block, isotonic_increasing, mmse_estimate)
 from .ensemble import (CoupledParams, CouplingMatrix, DesignFunction,
                        UnderlyingParams, asymmetric_exponential_design,
                        build_coupling_matrix, effective_rate, make_design,
@@ -24,12 +22,12 @@ from .state_evolution import (DEGRADED_EQUAL, INCOMPARABLE, REVERSED,
                               iterate_underlying, max_profile_increment,
                               ones_profile, pinned_columns, pinned_rows,
                               saturate_profile, se_step_coupled,
-                              se_step_underlying, shift, sigma_coupled,
-                              sigma_underlying, zeros_profile)
+                              se_step_underlying, shift, sigma_underlying,
+                              zeros_profile)
 from .thresholds import (BracketingError, MonotonicityError, ThresholdReport,
-                         amp_threshold_coupled, amp_threshold_underlying,
-                         capacity, large_B_limits, make_tables_factory,
-                         potential_threshold)
+                         ThresholdSearchError, amp_threshold_coupled,
+                         amp_threshold_underlying, capacity, large_B_limits,
+                         make_tables_factory, potential_threshold)
 from .verification import (LemmaReport, i_mmse_report, nishimori_report,
                            run_suite, shift_potential_scaling,
                            theorem1_experiment, verify_basin_exclusion,

@@ -18,19 +18,18 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .denoiser import MCConfig, build_tables, default_n_samples
-from .ensemble import (CoupledParams, UnderlyingParams, build_coupling_matrix,
-                       make_design)
+from .ensemble import (CoupledParams, UnderlyingParams, atomic_write,
+                       build_coupling_matrix, make_design)
 from .potential import free_energy_gap, potential_curve, potential_large_B
-from .state_evolution import ones_profile, se_step_coupled, se_step_underlying
-from .thresholds import (BracketingError, MonotonicityError, capacity,
-                         amp_threshold_coupled, amp_threshold_underlying,
-                         make_tables_factory, potential_threshold)
+from .state_evolution import iterate_coupled, iterate_underlying, ones_profile
+from .thresholds import (ThresholdSearchError, capacity, amp_threshold_coupled,
+                         amp_threshold_underlying, make_tables_factory,
+                         potential_threshold)
 from .verification import run_suite
 
 
@@ -50,11 +49,10 @@ class RunConfig:
     n_points: int = 256
     max_iters: int = 10_000
     outdir: str = "."
-    format: str = "csv"
 
     def __post_init__(self):
-        if self.format not in ("csv", "json"):
-            raise ValueError("format must be 'csv' or 'json'")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be nonnegative")
 
     @property
     def sigma2(self) -> float:
@@ -92,29 +90,16 @@ def _jsonable(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)!r}")
 
 
-def _atomic_write(path: str, text: str) -> None:
-    dirname = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_json(path: str, payload) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, default=_jsonable) + "\n")
+    atomic_write(path, [json.dumps(payload, indent=2, default=_jsonable) + "\n"])
 
 
-def _csv_text(cfg: RunConfig, header: str, rows) -> str:
+def _write_csv(path: str, cfg: RunConfig, header: str, rows) -> None:
     lines = ["# config=" + json.dumps(cfg.to_dict(), sort_keys=True), header]
     for row in rows:
         lines.append(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
                               else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    atomic_write(path, ["\n".join(lines) + "\n"])
 
 
 def _out(cfg: RunConfig, name: str) -> str:
@@ -144,49 +129,28 @@ def _require_rate(cfg: RunConfig, parser: argparse.ArgumentParser) -> None:
 def cmd_se(cfg: RunConfig, mode: str, e_init: float) -> int:
     p = cfg.params()
     mmse_t, _ = build_tables(p, cfg.mc(), n_points=cfg.n_points)
-    trace = []
     if mode == "underlying":
-        E = float(e_init)
-        trace.append((0, math.nan, E))
-        converged = False
-        residual = math.inf
-        for t in range(1, cfg.max_iters + 1):
-            nxt = se_step_underlying(E, p, mmse_t)
-            residual = abs(nxt - E)
-            E = nxt
-            trace.append((t, residual, E))
-            if residual <= cfg.tol:
-                converged = True
-                break
-        final = {"E": E}
+        trace = [(0, math.nan, float(e_init))]
+        run = iterate_underlying(e_init, p, mmse_t, cfg.tol, cfg.max_iters,
+                                 on_step=lambda t, res, E: trace.append((t, res, E)))
+        final = {"E": run.final}
         header = "iteration,residual,E"
-        rows = trace
     else:
-        design = cfg.design_fn()
-        J = build_coupling_matrix(CoupledParams(p, cfg.Gamma, cfg.w, design))
-        prof = ones_profile(cfg.Gamma, cfg.w)
-        trace.append((0, math.nan, *prof.values))
-        converged = False
-        residual = math.inf
-        for t in range(1, cfg.max_iters + 1):
-            nxt = se_step_coupled(prof, J, p, mmse_t)
-            residual = float(np.abs(nxt.values - prof.values).max())
-            prof = nxt
-            trace.append((t, residual, *prof.values))
-            if residual <= cfg.tol:
-                converged = True
-                break
-        final = {"profile": prof.values.tolist(),
-                 "profile_max": float(prof.values.max())}
+        J = build_coupling_matrix(CoupledParams(p, cfg.Gamma, cfg.w, cfg.design_fn()))
+        start = ones_profile(cfg.Gamma, cfg.w)
+        trace = [(0, math.nan, *start.values)]
+        run = iterate_coupled(start, J, p, mmse_t, cfg.tol, cfg.max_iters,
+                              on_step=lambda t, res, prof: trace.append((t, res, *prof.values)))
+        final = {"profile": run.final.values.tolist(),
+                 "profile_max": float(run.final.values.max())}
         header = "iteration,residual," + ",".join(f"E_{r}" for r in range(1, cfg.Gamma + 1))
-        rows = trace
-    iters = len(trace) - 1
-    _atomic_write(_out(cfg, f"se_trace_{mode}.csv"), _csv_text(cfg, header, rows))
+    _write_csv(_out(cfg, f"se_trace_{mode}.csv"), cfg, header, trace)
     _write_json(_out(cfg, f"se_report_{mode}.json"),
-                {"config": cfg.to_dict(), "mode": mode, "converged": converged,
-                 "iterations": iters, "residual": residual, **final})
-    status = "converged" if converged else "did not converge"
-    print(f"{mode} recursion {status} after {iters} iterations (residual {residual:.3e})")
+                {"config": cfg.to_dict(), "mode": mode, "converged": run.converged,
+                 "iterations": run.iterations, "residual": run.residual, **final})
+    status = "converged" if run.converged else "did not converge"
+    print(f"{mode} recursion {status} after {run.iterations} iterations "
+          f"(residual {run.residual:.3e})")
     return 0  # non-convergence is an analysis result, not a CLI failure
 
 
@@ -200,8 +164,7 @@ def cmd_potential(cfg: RunConfig) -> int:
             for E, F, U, S, err, lb in zip(curve.E_grid, curve.F_values,
                                            curve.U_values, curve.S_values,
                                            curve.stderrs, large)]
-    _atomic_write(_out(cfg, "potential_curve.csv"),
-                  _csv_text(cfg, "E,F,U,S,stderr,F_large_B", rows))
+    _write_csv(_out(cfg, "potential_curve.csv"), cfg, "E,F,U,S,stderr,F_large_B", rows)
     gap = free_energy_gap(p, tables, tol=cfg.tol, max_iters=cfg.max_iters)
     _write_json(_out(cfg, "gap_report.json"),
                 {"config": cfg.to_dict(), "delta_F": gap.delta_F,
@@ -226,7 +189,7 @@ SWEEP_HEADER = "B,snr,Gamma,w,R_u,R_pot,R_c,C"
 def cmd_thresholds(cfg: RunConfig) -> int:
     try:
         r_u, r_pot, r_c = _threshold_row(cfg)
-    except (BracketingError, MonotonicityError) as exc:
+    except ThresholdSearchError as exc:
         print(f"threshold search failed: {exc}", file=sys.stderr)
         return 1
     for name, rep in (("underlying", r_u), ("potential", r_pot), ("coupled", r_c)):
@@ -236,7 +199,7 @@ def cmd_thresholds(cfg: RunConfig) -> int:
                      "evaluations": rep.evaluations, "metadata": rep.metadata})
     row = (cfg.B, cfg.snr, cfg.Gamma, cfg.w, r_u.value, r_pot.value, r_c.value,
            capacity(cfg.snr))
-    _atomic_write(_out(cfg, "thresholds.csv"), _csv_text(cfg, SWEEP_HEADER, [row]))
+    _write_csv(_out(cfg, "thresholds.csv"), cfg, SWEEP_HEADER, [row])
     print(f"R_u={r_u.value:.4f}  R_pot={r_pot.value:.4f}  "
           f"R_c={r_c.value:.4f}  C={capacity(cfg.snr):.4f}")
     return 0
@@ -262,13 +225,13 @@ def cmd_sweep(cfg: RunConfig, b_list) -> int:
         sub = replace(cfg, B=B)
         try:
             r_u, r_pot, r_c = _threshold_row(sub)
-        except (BracketingError, MonotonicityError) as exc:
+        except ThresholdSearchError as exc:
             print(f"threshold search failed at B={B}: {exc}", file=sys.stderr)
             return 1
         rows.append((B, cfg.snr, cfg.Gamma, cfg.w, r_u.value, r_pot.value,
                      r_c.value, capacity(cfg.snr)))
         print(f"B={B}: R_u={r_u.value:.4f} R_pot={r_pot.value:.4f} R_c={r_c.value:.4f}")
-    _atomic_write(_out(cfg, "sweep.csv"), _csv_text(cfg, SWEEP_HEADER, rows))
+    _write_csv(_out(cfg, "sweep.csv"), cfg, SWEEP_HEADER, rows)
     return 0
 
 
@@ -288,7 +251,6 @@ _FLAGS = {
     "n_points": ("--n-points", int),
     "max_iters": ("--max-iters", int),
     "outdir": ("--outdir", str),
-    "format": ("--format", str),
 }
 
 
@@ -299,9 +261,6 @@ def _common_parser() -> argparse.ArgumentParser:
         kwargs = {"dest": dest, "type": typ, "default": None}
         if dest == "design":
             kwargs["choices"] = ["rectangular", "triangular", "asymmetric-exponential"]
-            del kwargs["type"]
-        if dest == "format":
-            kwargs["choices"] = ["csv", "json"]
             del kwargs["type"]
         parent.add_argument(flag, **kwargs)
     return parent
@@ -352,7 +311,7 @@ def main(argv=None) -> int:
     p_se.add_argument("--mode", choices=["underlying", "coupled"],
                       default="underlying")
     p_se.add_argument("--e-init", type=float, default=1.0,
-                      help="starting error for the underlying recursion")
+                      help="starting error for the underlying recursion, in [0, 1]")
     sub.add_parser("potential", parents=[common],
                    help="tabulate the potential curve and the free-energy gap")
     sub.add_parser("thresholds", parents=[common],
@@ -370,6 +329,8 @@ def main(argv=None) -> int:
         return cmd_tables(cfg)
     if args.command == "se":
         _require_rate(cfg, parser)
+        if not 0.0 <= args.e_init <= 1.0:
+            parser.error("--e-init must lie in [0, 1]")
         return cmd_se(cfg, args.mode, args.e_init)
     if args.command == "potential":
         _require_rate(cfg, parser)

@@ -17,15 +17,14 @@ rate reuses the same underlying Gaussians (common random numbers).
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
 
-from .ensemble import UnderlyingParams
+from .ensemble import UnderlyingParams, atomic_write
 
 _CHUNK = 65536  # even; fixed so accumulation order never depends on n_samples
 
@@ -140,19 +139,33 @@ def denoise_section(z, sigma_eff: float, B: int) -> np.ndarray:
     return np.exp(u - lse)
 
 
+def stream_moments(mc: MCConfig, B: int, per_chunk, size: int) -> tuple:
+    """Means and standard errors of `size` per-sample statistics.
+
+    per_chunk(z) yields one per-sample array per statistic, always in the same
+    order, for each Gaussian block z of the (seed, n_samples) stream.  Each
+    statistic sums its chunks in stream order, so the result is independent of
+    how the samples are chunked.
+    """
+    n = mc.n_samples
+    sums = np.zeros(size)
+    sumsq = np.zeros(size)
+    for a, b in _chunks(n):
+        z = gaussian_block(mc.seed, B, a, b, mc.antithetic)
+        for i, v in enumerate(per_chunk(z)):
+            sums[i] += float(v.sum())
+            sumsq[i] += float((v * v).sum())
+    means = sums / n
+    var = np.maximum(sumsq / n - means * means, 0.0) / max(n - 1, 1)
+    return means, np.sqrt(var)
+
+
 def _mc_mean(params: UnderlyingParams, sigma: float, mc: MCConfig, which: str,
              clamp: tuple) -> Estimate:
-    n = mc.n_samples
-    acc = acc2 = 0.0
-    for a, b in _chunks(n):
-        z = gaussian_block(mc.seed, params.B, a, b, mc.antithetic)
-        v = section_stats(z, sigma, params.B)[which]
-        acc += float(v.sum())
-        acc2 += float((v * v).sum())
-    mean = acc / n
-    var = max(acc2 / n - mean * mean, 0.0) / max(n - 1, 1)
-    return Estimate(value=float(min(max(mean, clamp[0]), clamp[1])),
-                    stderr=math.sqrt(var), n=n)
+    means, stderrs = stream_moments(
+        mc, params.B, lambda z: [section_stats(z, sigma, params.B)[which]], 1)
+    return Estimate(value=float(min(max(means[0], clamp[0]), clamp[1])),
+                    stderr=float(stderrs[0]), n=mc.n_samples)
 
 
 def mmse_estimate(sigma_eff: float, params: UnderlyingParams, mc: MCConfig) -> Estimate:
@@ -221,30 +234,11 @@ class MonotoneTable:
         return float(np.interp(sigma, self.sigma_grid, self.stderrs))
 
     def to_csv(self, path) -> None:
-        m = self.meta
         head = ("# B={B} R={R} sigma2={sigma2} seed={seed} n_samples={n_samples} kind={kind}\n"
-                .format(**m))
-        dirname = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(head)
-                fh.write("sigma,value,stderr\n")
-                for s, v, e in zip(self.sigma_grid, self.values, self.stderrs):
-                    fh.write(f"{float(s)!r},{float(v)!r},{float(e)!r}\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-
-class MmseTable(MonotoneTable):
-    pass
-
-
-class EntropyTable(MonotoneTable):
-    pass
+                .format(**self.meta))
+        rows = (f"{float(s)!r},{float(v)!r},{float(e)!r}\n"
+                for s, v, e in zip(self.sigma_grid, self.values, self.stderrs))
+        atomic_write(path, itertools.chain([head, "sigma,value,stderr\n"], rows))
 
 
 def default_sigma_span(params: UnderlyingParams) -> tuple:
@@ -270,57 +264,29 @@ def build_tables(params: UnderlyingParams, mc: MCConfig,
     if n_points < 16:
         raise ValueError("n_points must be at least 16")
     grid = np.geomspace(sigma_min, sigma_max, n_points)
-    n = mc.n_samples
-    K = n_points
-    sums = {"mmse": np.zeros(K), "entropy": np.zeros(K)}
-    sumsq = {"mmse": np.zeros(K), "entropy": np.zeros(K)}
-    dsum = {"mmse": np.zeros(K - 1), "entropy": np.zeros(K - 1)}
-    dsumsq = {"mmse": np.zeros(K - 1), "entropy": np.zeros(K - 1)}
-    for a, b in _chunks(n):
-        z = gaussian_block(mc.seed, params.B, a, b, mc.antithetic)
+    keys = ("mmse", "entropy")
+
+    def per_chunk(z):
+        # slot 4k+j holds node k's statistic keys[j]; slot 4k-2+j its
+        # difference from node k-1
         prev = None
-        for k in range(K):
-            st = section_stats(z, float(grid[k]), params.B)
-            for key in ("mmse", "entropy"):
-                v = st[key]
-                sums[key][k] += float(v.sum())
-                sumsq[key][k] += float((v * v).sum())
-                if prev is not None:
-                    d = v - prev[key]
-                    dsum[key][k - 1] += float(d.sum())
-                    dsumsq[key][k - 1] += float((d * d).sum())
-            prev = {"mmse": st["mmse"], "entropy": st["entropy"]}
+        for sigma in grid:
+            st = section_stats(z, float(sigma), params.B)
+            if prev is not None:
+                yield from (st[key] - prev[key] for key in keys)
+            yield from (st[key] for key in keys)
+            prev = st
+
+    means, stderrs = stream_moments(mc, params.B, per_chunk, 4 * n_points - 2)
     tables = []
-    for key, bounds, cls in (("mmse", (0.0, 1.0 - 1.0 / params.B), MmseTable),
-                             ("entropy", (0.0, 1.0), EntropyTable)):
-        mean = sums[key] / n
-        var = np.maximum(sumsq[key] / n - mean * mean, 0.0) / max(n - 1, 1)
-        stderrs = np.sqrt(var)
-        dmean = dsum[key] / n
-        dvar = np.maximum(dsumsq[key] / n - dmean * dmean, 0.0) / max(n - 1, 1)
-        diff_stderrs = np.sqrt(dvar)
-        values = np.clip(isotonic_increasing(mean), bounds[0], bounds[1])
+    for j, (key, top) in enumerate(zip(keys, (1.0 - 1.0 / params.B, 1.0))):
+        node_stderrs = stderrs[j::4]
+        values = np.clip(isotonic_increasing(means[j::4]), 0.0, top)
         gaps = np.abs(np.diff(values))
-        coarse = gaps > 10.0 * np.maximum(stderrs[:-1], stderrs[1:])
+        coarse = gaps > 10.0 * np.maximum(node_stderrs[:-1], node_stderrs[1:])
         meta = {"B": params.B, "R": params.R, "sigma2": params.sigma2,
                 "seed": mc.seed, "n_samples": mc.n_samples, "kind": key}
-        tables.append(cls(sigma_grid=grid, values=values, stderrs=stderrs,
-                          diff_stderrs=diff_stderrs, lo_value=bounds[0],
-                          hi_value=bounds[1], coarse=coarse, meta=meta))
+        tables.append(MonotoneTable(sigma_grid=grid, values=values, stderrs=node_stderrs,
+                                    diff_stderrs=stderrs[2 + j::4], lo_value=0.0,
+                                    hi_value=top, coarse=coarse, meta=meta))
     return tables[0], tables[1]
-
-
-def build_mmse_table(params: UnderlyingParams, sigma_min: float | None = None,
-                     sigma_max: float | None = None, n_points: int = 256,
-                     mc: MCConfig | None = None) -> MmseTable:
-    if mc is None:
-        mc = MCConfig(seed=0, n_samples=default_n_samples(params.B))
-    return build_tables(params, mc, sigma_min, sigma_max, n_points)[0]
-
-
-def build_entropy_table(params: UnderlyingParams, sigma_min: float | None = None,
-                        sigma_max: float | None = None, n_points: int = 256,
-                        mc: MCConfig | None = None) -> EntropyTable:
-    if mc is None:
-        mc = MCConfig(seed=0, n_samples=default_n_samples(params.B))
-    return build_tables(params, mc, sigma_min, sigma_max, n_points)[1]

@@ -11,6 +11,7 @@ usual 0-based numpy containers.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import tempfile
@@ -19,6 +20,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DESIGN_KINDS = ("rectangular", "triangular", "asymmetric-exponential")
+
+
+def atomic_write(path, chunks) -> None:
+    """Write an iterable of text chunks to path through a temp file and a rename.
+
+    The target is either left as it was or fully replaced; a failure midway
+    removes the temp file.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 @dataclass(frozen=True)
@@ -176,18 +195,8 @@ class CouplingMatrix:
 
     def to_csv(self, path) -> None:
         header = f"# J matrix Gamma={self.Gamma} w={self.w} design={self.design_kind}\n"
-        dirname = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(header)
-                for row in self.J:
-                    fh.write(",".join(repr(float(v)) for v in row) + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        rows = (",".join(repr(float(v)) for v in row) + "\n" for row in self.J)
+        atomic_write(path, itertools.chain([header], rows))
 
 
 def build_coupling_matrix(params: CoupledParams) -> CouplingMatrix:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .denoiser import EntropyTable, MmseTable
+from .denoiser import MonotoneTable
 from .ensemble import CouplingMatrix, UnderlyingParams
 from .state_evolution import (DEFAULT_MAX_ITERS, DEFAULT_TOL, ErrorProfile,
                               _inverse_noise_moment, basin_boundary,
@@ -50,11 +50,11 @@ def potential_energy_underlying(E: float, params: UnderlyingParams) -> float:
 
 
 def potential_underlying(E: float, params: UnderlyingParams,
-                         entropy_table: EntropyTable) -> float:
+                         entropy_table: MonotoneTable) -> float:
     return potential_energy_underlying(E, params) - entropy_table(sigma_underlying(E, params))
 
 
-def potential_curve(params: UnderlyingParams, entropy_table: EntropyTable,
+def potential_curve(params: UnderlyingParams, entropy_table: MonotoneTable,
                     E_grid) -> PotentialCurve:
     E = np.asarray(E_grid, dtype=float)
     U = np.array([potential_energy_underlying(e, params) for e in E])
@@ -112,7 +112,7 @@ def potential_large_B(E: float, params: UnderlyingParams) -> float:
 
 
 def stationarity_residual(E_fixed: float, params: UnderlyingParams,
-                          entropy_table: EntropyTable, h: float = 1e-3) -> float:
+                          entropy_table: MonotoneTable, h: float = 1e-3) -> float:
     """|finite-difference slope of F| at a claimed fixed point.
 
     Centered step of size h, one-sided at the domain boundary.  With a

@@ -12,11 +12,11 @@ point, which the degradation and convergence arguments lean on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import MmseTable, MonotoneTable
+from .denoiser import MonotoneTable
 from .ensemble import CouplingMatrix, UnderlyingParams
 
 DEFAULT_TOL = 1e-8
@@ -96,18 +96,20 @@ def sigma_underlying(E: float, params: UnderlyingParams) -> float:
     return math.sqrt(params.R * (params.sigma2 + E))
 
 
-def se_step_underlying(E: float, params: UnderlyingParams, table: MmseTable) -> float:
+def se_step_underlying(E: float, params: UnderlyingParams, table: MonotoneTable) -> float:
     return table(sigma_underlying(E, params))
 
 
-def iterate_underlying(E_init: float, params: UnderlyingParams, table: MmseTable,
+def iterate_underlying(E_init: float, params: UnderlyingParams, table: MonotoneTable,
                        tol: float = DEFAULT_TOL,
-                       max_iters: int = DEFAULT_MAX_ITERS) -> FixedPointReport:
+                       max_iters: int = DEFAULT_MAX_ITERS,
+                       on_step=None) -> FixedPointReport:
     """Run the scalar recursion to a fixed point.
 
     Non-convergence is reported, never raised.  The sequence direction is
     fixed after the first step (the operator is monotone), so a sign flip in
     the updates marks a numerical problem and clears the monotone flag.
+    on_step(t, residual, E), when given, is called after every step.
     """
     if not 0.0 <= E_init <= 1.0:
         raise ValueError("E_init must lie in [0, 1]")
@@ -125,6 +127,8 @@ def iterate_underlying(E_init: float, params: UnderlyingParams, table: MmseTable
                 monotone = False
         residual = abs(step)
         E = E_next
+        if on_step is not None:
+            on_step(t, residual, E)
         if residual <= tol:
             return FixedPointReport(E, t, residual, True, monotone)
     return FixedPointReport(E, max_iters, residual, False, monotone)
@@ -136,7 +140,7 @@ def fixed_point_tolerance(table: MonotoneTable, params: UnderlyingParams, E0: fl
     return max(10.0 * tol, 3.0 * table.stderr_at(sigma_underlying(E0, params)))
 
 
-def basin_boundary(params: UnderlyingParams, table: MmseTable,
+def basin_boundary(params: UnderlyingParams, table: MonotoneTable,
                    tol: float = DEFAULT_TOL, precision: float = 1e-6,
                    max_iters: int = DEFAULT_MAX_ITERS) -> float:
     """Largest initial MSE still attracted to the floor, by bisection.
@@ -169,17 +173,8 @@ def _inverse_noise_moment(values: np.ndarray, J: np.ndarray, params: UnderlyingP
     return (J.T @ weights) / J.shape[0]
 
 
-def sigma_coupled(profile: ErrorProfile, J: CouplingMatrix, c: int,
-                  params: UnderlyingParams) -> float:
-    """Effective noise of column c (1-based)."""
-    if not 1 <= c <= profile.Gamma:
-        raise ValueError(f"column index must be in 1..{profile.Gamma}")
-    moment = _inverse_noise_moment(profile.values, J.J, params)
-    return float(moment[c - 1] ** -0.5)
-
-
 def se_step_coupled(profile: ErrorProfile, J: CouplingMatrix,
-                    params: UnderlyingParams, table: MmseTable) -> ErrorProfile:
+                    params: UnderlyingParams, table: MonotoneTable) -> ErrorProfile:
     """One profile update with the boundary sections pinned to zero MSE.
 
     Pinning acts on the section MSEs (columns); the zero rows at the profile
@@ -198,10 +193,14 @@ def se_step_coupled(profile: ErrorProfile, J: CouplingMatrix,
 
 
 def iterate_coupled(profile_init: ErrorProfile, J: CouplingMatrix,
-                    params: UnderlyingParams, table: MmseTable,
+                    params: UnderlyingParams, table: MonotoneTable,
                     tol: float = DEFAULT_TOL,
-                    max_iters: int = DEFAULT_MAX_ITERS) -> FixedPointReport:
-    """Profile recursion to sup-norm tolerance, tracking monotonicity."""
+                    max_iters: int = DEFAULT_MAX_ITERS,
+                    on_step=None) -> FixedPointReport:
+    """Profile recursion to sup-norm tolerance, tracking monotonicity.
+
+    on_step(t, residual, profile), when given, is called after every step.
+    """
     prof = profile_init
     direction = np.zeros(profile_init.Gamma)
     monotone = True
@@ -216,9 +215,26 @@ def iterate_coupled(profile_init: ErrorProfile, J: CouplingMatrix,
             monotone = False
         residual = float(np.abs(step).max())
         prof = nxt
+        if on_step is not None:
+            on_step(t, residual, prof)
         if residual <= tol:
             return FixedPointReport(prof, t, residual, True, monotone)
     return FixedPointReport(prof, max_iters, residual, False, monotone)
+
+
+def coupled_decode(J: CouplingMatrix, params: UnderlyingParams, table: MonotoneTable,
+                   tol: float = DEFAULT_TOL,
+                   max_iters: int = DEFAULT_MAX_ITERS) -> tuple:
+    """Run the pinned coupled recursion from the all-ones start and classify it.
+
+    Returns (run, E0, radius, decoded): E0 is the scalar floor, radius its
+    fixed_point_tolerance, and decoded says the whole final profile lies
+    within radius of the floor.
+    """
+    E0 = iterate_underlying(0.0, params, table, tol).final
+    radius = fixed_point_tolerance(table, params, E0, tol)
+    run = iterate_coupled(ones_profile(J.Gamma, J.w), J, params, table, tol, max_iters)
+    return run, E0, radius, bool((run.final.values <= E0 + radius).all())
 
 
 def is_degraded(E, G) -> str:

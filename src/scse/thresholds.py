@@ -17,7 +17,8 @@ complications are handled beyond plain bisection:
 
 A search whose predicate never flips (for instance when the scalar system
 has a single fixed point at every rate, so no algorithmic threshold exists)
-raises BracketingError carrying the history.
+raises BracketingError carrying the history.  Both errors derive from
+ThresholdSearchError, which callers catch to handle any failed search.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ from .denoiser import MCConfig, default_n_samples, build_tables
 from .ensemble import (CoupledParams, DesignFunction, UnderlyingParams,
                        build_coupling_matrix, rectangular_design)
 from .potential import free_energy_gap
-from .state_evolution import (DEFAULT_MAX_ITERS, DEFAULT_TOL,
-                              fixed_point_tolerance, iterate_coupled,
-                              iterate_underlying, ones_profile)
+from .state_evolution import (DEFAULT_MAX_ITERS, DEFAULT_TOL, coupled_decode,
+                              fixed_point_tolerance, iterate_underlying)
 
 DEFAULT_TOL_R = 2e-3
 JUMP_TOL = 0.05          # floor discontinuity detector
@@ -39,26 +39,23 @@ MAX_EVALUATIONS = 200
 COUPLED_MAX_ITERS = 20_000
 
 
-class BracketingError(RuntimeError):
+class ThresholdSearchError(RuntimeError):
+    """A threshold search that could not return a number; carries its history."""
+
+    def __init__(self, message: str, history=None):
+        self.history = history or []
+        lines = [message]
+        for rec in self.history:
+            lines.append("  R={R:.6f} success={success} raw={success_raw} E0={E0:.6g}".format(**rec))
+        super().__init__("\n".join(lines))
+
+
+class BracketingError(ThresholdSearchError):
     """The success predicate never flipped inside the search range."""
 
-    def __init__(self, message: str, history=None):
-        self.history = history or []
-        lines = [message]
-        for rec in self.history:
-            lines.append("  R={R:.6f} success={success} raw={success_raw} E0={E0:.6g}".format(**rec))
-        super().__init__("\n".join(lines))
 
-
-class MonotonicityError(RuntimeError):
+class MonotonicityError(ThresholdSearchError):
     """The classified predicate history is not true-then-false in R."""
-
-    def __init__(self, message: str, history=None):
-        self.history = history or []
-        lines = [message]
-        for rec in self.history:
-            lines.append("  R={R:.6f} success={success} raw={success_raw} E0={E0:.6g}".format(**rec))
-        super().__init__("\n".join(lines))
 
 
 def capacity(snr: float) -> float:
@@ -85,7 +82,6 @@ class ThresholdReport:
 
 @dataclass(frozen=True)
 class _Eval:
-    R: float
     success_raw: bool
     E0: float
     extras: dict
@@ -108,7 +104,6 @@ def make_tables_factory(params: UnderlyingParams, mc: MCConfig | None = None,
         return built[R]
 
     factory.mc = mc
-    factory.n_points = n_points
     return factory
 
 
@@ -208,13 +203,19 @@ class _ThresholdSearch:
         return lo, hi
 
 
-def _solve_report(search: _ThresholdSearch, snr: float, tol_R: float, metadata: dict) -> ThresholdReport:
-    lo, hi = search.solve(R_start=0.5 * capacity(snr),
-                          R_cap=4.0 * capacity(snr),
-                          R_floor=capacity(snr) / 256.0)
-    metadata = dict(metadata)
-    metadata["history"] = search.history()
-    metadata["fold_R"] = search.fold_R
+def _solve_report(kind: str, ev, params: UnderlyingParams, tables_factory,
+                  tol_R: float, extra_meta: dict) -> ThresholdReport:
+    """Search with ev(R, tables) as the predicate; tables come from
+    tables_factory(R), a fresh make_tables_factory(params) when None."""
+    if tables_factory is None:
+        tables_factory = make_tables_factory(params)
+    search = _ThresholdSearch(lambda R: ev(R, tables_factory(R)), tol_R)
+    C = capacity(params.snr)
+    lo, hi = search.solve(R_start=0.5 * C, R_cap=4.0 * C, R_floor=C / 256.0)
+    metadata = {"kind": kind, "B": params.B, "sigma2": params.sigma2,
+                "snr": params.snr, **extra_meta, "tol_R": tol_R,
+                "seed": getattr(tables_factory, "mc", None) and tables_factory.mc.seed,
+                "history": search.history(), "fold_R": search.fold_R}
     return ThresholdReport(value=0.5 * (lo + hi), bracket_lo=lo, bracket_hi=hi,
                            tol=tol_R, evaluations=len(search.evals),
                            metadata=metadata)
@@ -230,23 +231,16 @@ def amp_threshold_underlying(params: UnderlyingParams, tables_factory=None,
     gets its own tables from the same sample stream, so the predicate sees
     smooth curves in R.
     """
-    if tables_factory is None:
-        tables_factory = make_tables_factory(params)
-
-    def ev(R: float) -> _Eval:
+    def ev(R: float, tables) -> _Eval:
         p = params.with_rate(R)
-        mmse_t, _ = tables_factory(R)
+        mmse_t, _ = tables
         r0 = iterate_underlying(0.0, p, mmse_t, tol, max_iters)
         r1 = iterate_underlying(1.0, p, mmse_t, tol, max_iters)
         radius = fixed_point_tolerance(mmse_t, p, r0.final, tol)
-        return _Eval(R, abs(r1.final - r0.final) <= radius, r0.final,
+        return _Eval(abs(r1.final - r0.final) <= radius, r0.final,
                      {"E1": r1.final, "radius": radius})
 
-    search = _ThresholdSearch(ev, tol_R)
-    meta = {"kind": "amp_underlying", "B": params.B, "sigma2": params.sigma2,
-            "snr": params.snr, "tol_R": tol_R,
-            "seed": getattr(tables_factory, "mc", None) and tables_factory.mc.seed}
-    return _solve_report(search, params.snr, tol_R, meta)
+    return _solve_report("amp_underlying", ev, params, tables_factory, tol_R, {})
 
 
 def potential_threshold(params: UnderlyingParams, tables_factory=None,
@@ -254,22 +248,14 @@ def potential_threshold(params: UnderlyingParams, tables_factory=None,
                         tol: float = DEFAULT_TOL,
                         max_iters: int = DEFAULT_MAX_ITERS) -> ThresholdReport:
     """Largest rate with a positive free-energy gap."""
-    if tables_factory is None:
-        tables_factory = make_tables_factory(params)
-
-    def ev(R: float) -> _Eval:
+    def ev(R: float, tables) -> _Eval:
         p = params.with_rate(R)
-        tables = tables_factory(R)
         gap = free_energy_gap(p, tables, tol=tol, max_iters=max_iters)
         E0 = iterate_underlying(0.0, p, tables[0], tol, max_iters).final
-        return _Eval(R, gap.delta_F > 0.0, E0,
+        return _Eval(gap.delta_F > 0.0, E0,
                      {"delta_F": gap.delta_F, "basin_sup": gap.basin_sup})
 
-    search = _ThresholdSearch(ev, tol_R)
-    meta = {"kind": "potential", "B": params.B, "sigma2": params.sigma2,
-            "snr": params.snr, "tol_R": tol_R,
-            "seed": getattr(tables_factory, "mc", None) and tables_factory.mc.seed}
-    return _solve_report(search, params.snr, tol_R, meta)
+    return _solve_report("potential", ev, params, tables_factory, tol_R, {})
 
 
 def amp_threshold_coupled(params: UnderlyingParams, Gamma: int, w: int,
@@ -284,24 +270,14 @@ def amp_threshold_coupled(params: UnderlyingParams, Gamma: int, w: int,
     """
     if design is None:
         design = rectangular_design()
-    if tables_factory is None:
-        tables_factory = make_tables_factory(params)
     J = build_coupling_matrix(CoupledParams(params, Gamma, w, design))
 
-    def ev(R: float) -> _Eval:
-        p = params.with_rate(R)
-        mmse_t, _ = tables_factory(R)
-        r0 = iterate_underlying(0.0, p, mmse_t, tol, DEFAULT_MAX_ITERS)
-        radius = fixed_point_tolerance(mmse_t, p, r0.final, tol)
-        run = iterate_coupled(ones_profile(Gamma, w), J, p, mmse_t, tol, max_iters)
-        decoded = bool((run.final.values <= r0.final + radius).all())
-        return _Eval(R, decoded, r0.final,
+    def ev(R: float, tables) -> _Eval:
+        run, E0, radius, decoded = coupled_decode(J, params.with_rate(R), tables[0],
+                                                  tol, max_iters)
+        return _Eval(decoded, E0,
                      {"profile_max": float(run.final.values.max()),
                       "iterations": run.iterations, "radius": radius})
 
-    search = _ThresholdSearch(ev, tol_R)
-    meta = {"kind": "amp_coupled", "B": params.B, "sigma2": params.sigma2,
-            "snr": params.snr, "Gamma": Gamma, "w": w, "design": design.kind,
-            "tol_R": tol_R,
-            "seed": getattr(tables_factory, "mc", None) and tables_factory.mc.seed}
-    return _solve_report(search, params.snr, tol_R, meta)
+    return _solve_report("amp_coupled", ev, params, tables_factory, tol_R,
+                         {"Gamma": Gamma, "w": w, "design": design.kind})

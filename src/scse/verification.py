@@ -16,18 +16,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoiser import MCConfig, _chunks, gaussian_block, section_stats
+from .denoiser import MCConfig, section_stats, stream_moments
 from .ensemble import (CoupledParams, CouplingMatrix, DesignFunction,
                        UnderlyingParams, build_coupling_matrix)
 from .potential import (free_energy_gap, potential_coupled,
                         potential_energy_underlying, potential_underlying)
 from .state_evolution import (DEFAULT_TOL, ErrorProfile, SaturatedProfile,
-                              fixed_point_tolerance, iterate_coupled,
-                              iterate_underlying, max_profile_increment,
-                              ones_profile, saturate_profile, shift,
+                              _inverse_noise_moment, coupled_decode,
+                              fixed_point_tolerance, iterate_underlying,
+                              max_profile_increment, saturate_profile, shift,
                               sigma_underlying)
 
 LN2 = math.log(2.0)
+NISHIMORI_DELTA = 1e-3  # joint failure probability of the Nishimori bound
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,7 @@ def verify_telescoping(saturated: SaturatedProfile, J: CouplingMatrix,
     residual = abs(lhs - rhs)
 
     def entropy_noise(values):
-        moment = (J.J.T @ (1.0 / (params.R * (params.sigma2 + values)))) / Gamma
-        sig = moment ** -0.5
+        sig = _inverse_noise_moment(values, J.J, params) ** -0.5
         return sum(entropy_table.stderr_at(s) ** 2 for s in sig)
 
     noise = math.sqrt(entropy_noise(E) + entropy_noise(SE_vals)
@@ -126,10 +126,8 @@ def _stalled_saturation(params: UnderlyingParams, Gamma: int, w: int,
     wiggles of a few ulp do not masquerade as a stall.
     """
     J = build_coupling_matrix(CoupledParams(params, Gamma, w, design))
-    run = iterate_coupled(ones_profile(Gamma, w), J, params, mmse_table, tol, max_iters)
-    E0 = iterate_underlying(0.0, params, mmse_table, tol).final
-    radius = fixed_point_tolerance(mmse_table, params, E0, tol)
-    if (run.final.values <= E0 + radius).all():
+    run, E0, _, decoded = coupled_decode(J, params, mmse_table, tol, max_iters)
+    if decoded:
         return J, run, saturate_profile(ErrorProfile(np.full(Gamma, E0), Gamma, w), E0)
     return J, run, saturate_profile(run.final, E0)
 
@@ -184,10 +182,7 @@ def theorem1_experiment(params: UnderlyingParams, R: float, Gamma: int, w: int,
     p = params.with_rate(R)
     mmse_table, _ = tables
     J = build_coupling_matrix(CoupledParams(p, Gamma, w, design))
-    run = iterate_coupled(ones_profile(Gamma, w), J, p, mmse_table, tol, max_iters)
-    E0 = iterate_underlying(0.0, p, mmse_table, tol).final
-    radius = fixed_point_tolerance(mmse_table, p, E0, tol)
-    decoded = bool((run.final.values <= E0 + radius).all())
+    run, E0, radius, decoded = coupled_decode(J, p, mmse_table, tol, max_iters)
     gap = free_energy_gap(p, tables, tol=tol)
     min_w = None
     if scan_w:
@@ -195,8 +190,7 @@ def theorem1_experiment(params: UnderlyingParams, R: float, Gamma: int, w: int,
             if Gamma <= 8 * cand:
                 break
             Jc = build_coupling_matrix(CoupledParams(p, Gamma, cand, design))
-            r = iterate_coupled(ones_profile(Gamma, cand), Jc, p, mmse_table, tol, max_iters)
-            if bool((r.final.values <= E0 + radius).all()):
+            if coupled_decode(Jc, p, mmse_table, tol, max_iters)[3]:
                 min_w = cand
                 break
     return LemmaReport("theorem1_decoding", decoded,
@@ -207,32 +201,37 @@ def theorem1_experiment(params: UnderlyingParams, R: float, Gamma: int, w: int,
 
 def nishimori_report(params: UnderlyingParams, mc: MCConfig,
                      E_grid=None) -> LemmaReport:
-    """MMSE equals one minus the mean true-component weight, same samples."""
+    """MMSE equals one minus the mean true-component weight, same samples.
+
+    The per-sample difference d = sum_i f_i^2 - f_1 has mean zero and lies in
+    [-1/4, 1] (f_1^2 - f_1 <= d <= 1 - f_1).  Each point's mean is judged
+    against the empirical Bernstein bound of Maurer and Pontil (2009),
+    sqrt(2 var L/n) + 7 r L/(3(n-1)) with range r = 5/4 and
+    L = ln(4 m/delta) over the m grid points, so all points pass together with
+    probability at least 1 - delta on any seed.  Unlike a z-test it holds when
+    d is nonzero only on rare samples.  The bound assumes independent samples
+    (antithetic=False).  measured is the worst |diff|/bound, bound is 1.
+    """
     if E_grid is None:
         E_grid = np.linspace(0.0, 1.0, 16)
     sigs = [sigma_underlying(float(E), params) for E in E_grid]
-    n = mc.n_samples
-    acc = [0.0] * len(sigs)
-    acc2 = [0.0] * len(sigs)
-    # chunk-outer: one Gaussian block serves every grid point, and each point
-    # still sums its chunks in stream order
-    for a, b in _chunks(n):
-        z = gaussian_block(mc.seed, params.B, a, b, mc.antithetic)
-        for i, sig in enumerate(sigs):
+
+    def per_chunk(z):
+        for sig in sigs:
             st = section_stats(z, sig, params.B)
-            d = st["mmse"] - (1.0 - st["f1"])
-            acc[i] += float(d.sum())
-            acc2[i] += float((d * d).sum())
-    zmax = 0.0
+            yield st["mmse"] - (1.0 - st["f1"])
+
+    means, stderrs = stream_moments(mc, params.B, per_chunk, len(sigs))
+    n = mc.n_samples
+    L = math.log(4.0 * len(sigs) / NISHIMORI_DELTA)
+    worst = 0.0
     details = []
-    for E, s, s2 in zip(E_grid, acc, acc2):
-        mean = s / n
-        stderr = math.sqrt(max(s2 / n - mean * mean, 0.0) / max(n - 1, 1))
-        zscore = 0.0 if mean == 0.0 else abs(mean) / max(stderr, 1e-300)
-        zmax = max(zmax, zscore)
-        details.append({"E": float(E), "diff": mean, "stderr": stderr})
-    return LemmaReport("nishimori", zmax <= 3.0, zmax, 3.0, 0.0,
-                       {"points": details})
+    for E, mean, stderr in zip(E_grid, means.tolist(), stderrs.tolist()):
+        var = n * stderr * stderr  # unbiased sample variance
+        bound = math.sqrt(2.0 * var * L / n) + 7.0 * 1.25 * L / (3.0 * max(n - 1, 1))
+        worst = max(worst, abs(mean) / bound)
+        details.append({"E": float(E), "diff": mean, "stderr": stderr, "bound": bound})
+    return LemmaReport("nishimori", worst <= 1.0, worst, 1.0, 0.0, {"points": details})
 
 
 def i_mmse_report(params: UnderlyingParams, mc: MCConfig, sigma_grid=None,
@@ -250,35 +249,30 @@ def i_mmse_report(params: UnderlyingParams, mc: MCConfig, sigma_grid=None,
     if coefficient is None:
         coefficient = params.log2B / (2.0 * LN2)
     lb = params.log2B
-    n = mc.n_samples
     points = []
     for sig in sigma_grid:
         gamma = 1.0 / (sig * sig)
-        sigs = {k: (gamma + x) ** -0.5 for k, x in
-                (("p", h), ("m", -h), ("p2", h / 2), ("m2", -h / 2))}
-        points.append((float(sig), sigs, {k: 0.0 for k in ("D", "D2", "sh", "sh2")}))
-    # chunk-outer: one Gaussian block serves every grid point, and each point
-    # still sums its chunks in stream order
-    for a, b in _chunks(n):
-        z = gaussian_block(mc.seed, params.B, a, b, mc.antithetic)
-        for sig, sigs, acc in points:
+        points.append((float(sig), {k: (gamma + x) ** -0.5 for k, x in
+                                    (("p", h), ("m", -h), ("p2", h / 2), ("m2", -h / 2))}))
+
+    def per_chunk(z):
+        # three statistics per point: D = slope + c*mmse, and the slope at
+        # steps h and h/2
+        for sig, sigs in points:
             ent = {k: section_stats(z, s, params.B)["entropy"] for k, s in sigs.items()}
             m = section_stats(z, sig, params.B)["mmse"]
             slope_h = lb * (ent["p"] - ent["m"]) / (2.0 * h)
-            slope_h2 = lb * (ent["p2"] - ent["m2"]) / h
-            D = slope_h + coefficient * m
-            acc["D"] += float(D.sum())
-            acc["D2"] += float((D * D).sum())
-            acc["sh"] += float(slope_h.sum())
-            acc["sh2"] += float(slope_h2.sum())
+            yield slope_h + coefficient * m
+            yield slope_h
+            yield lb * (ent["p2"] - ent["m2"]) / h
+
+    means, stderrs = stream_moments(mc, params.B, per_chunk, 3 * len(points))
     details = []
     passed = True
-    for sig, _, acc in points:
-        mean_D = acc["D"] / n
-        stderr_D = math.sqrt(max(acc["D2"] / n - mean_D ** 2, 0.0) / max(n - 1, 1))
-        disc = (4.0 / 3.0) * abs(acc["sh"] / n - acc["sh2"] / n)
-        tol_pt = 3.0 * stderr_D + disc
-        ok = abs(mean_D) <= tol_pt
+    for i, (sig, _) in enumerate(points):
+        mean_D, stderr_D = float(means[3 * i]), float(stderrs[3 * i])
+        disc = (4.0 / 3.0) * abs(float(means[3 * i + 1] - means[3 * i + 2]))
+        ok = abs(mean_D) <= 3.0 * stderr_D + disc
         passed = passed and ok
         details.append({"sigma": sig, "slope_plus_c_mmse": mean_D,
                         "stderr": stderr_D, "discretization": disc, "pass": ok})

@@ -1,10 +1,14 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from scse import capacity, pinned_rows
+from scse import (CoupledParams, ErrorProfile, MCConfig, UnderlyingParams,
+                  build_coupling_matrix, build_tables, capacity, iterate_coupled,
+                  iterate_underlying, ones_profile, pinned_rows, rectangular_design,
+                  se_step_coupled, se_step_underlying)
 from scse.cli import main
 
 FAST = ["--samples", "4000", "--n-points", "32"]
@@ -201,3 +205,62 @@ def test_sweep_single_section_size(tmp_path):
     cfg, header, rows = _read_csv(tmp_path / "sweep.csv")
     assert header == "B,snr,Gamma,w,R_u,R_pot,R_c,C"
     assert len(rows) == 1 and rows[0].split(",")[0] == "4"
+
+
+def _reference_trace(step, start, tol, max_iters):
+    """The trace rows as an explicit step loop writes them, with residuals."""
+    rows = [(0, math.nan, start)]
+    state = start
+    for t in range(1, max_iters + 1):
+        nxt = step(state)
+        residual = float(np.abs(np.asarray(nxt) - np.asarray(state)).max())
+        state = nxt
+        rows.append((t, residual, state))
+        if residual <= tol:
+            break
+    return rows
+
+
+def _row_text(t, residual, values):
+    return ",".join([str(t), repr(float(residual)), *(repr(float(v)) for v in values)])
+
+
+@pytest.mark.parametrize("mode,max_iters", [("underlying", 10_000), ("underlying", 3),
+                                             ("coupled", 10_000), ("coupled", 5)])
+def test_se_matches_library(tmp_path, mode, max_iters):
+    argv = ["se", "--mode", mode, "--B", "4", "--R", "1.5", "--gamma", "48", "--w", "2",
+            "--seed", "3", "--e-init", "0.75", "--max-iters", str(max_iters), *FAST]
+    assert _run(tmp_path, *argv) == 0
+    p = UnderlyingParams(B=4, R=1.5, sigma2=1.0 / 15.0)
+    mmse_t, _ = build_tables(p, MCConfig(seed=3, n_samples=4000), n_points=32)
+    if mode == "underlying":
+        run = iterate_underlying(0.75, p, mmse_t, 1e-8, max_iters)
+        ref = _reference_trace(lambda E: se_step_underlying(E, p, mmse_t), 0.75,
+                               1e-8, max_iters)
+        want = [_row_text(t, r, [E]) for t, r, E in ref]
+    else:
+        J = build_coupling_matrix(CoupledParams(p, 48, 2, rectangular_design()))
+        run = iterate_coupled(ones_profile(48, 2), J, p, mmse_t, 1e-8, max_iters)
+        ref = _reference_trace(lambda v: se_step_coupled(ErrorProfile(v, 48, 2), J, p,
+                                                         mmse_t).values,
+                               ones_profile(48, 2).values, 1e-8, max_iters)
+        want = [_row_text(t, r, v) for t, r, v in ref]
+    report = json.loads((tmp_path / f"se_report_{mode}.json").read_text())
+    assert report["iterations"] == run.iterations == len(want) - 1
+    assert report["converged"] is run.converged
+    assert report["residual"] == run.residual
+    if mode == "underlying":
+        assert report["E"] == run.final
+    else:
+        assert report["profile"] == run.final.values.tolist()
+    _, _, rows = _read_csv(tmp_path / f"se_trace_{mode}.csv")
+    assert rows == want
+
+
+@pytest.mark.parametrize("flag,value", [("--e-init", "2.5"), ("--e-init", "-1"),
+                                        ("--e-init", "nan"), ("--max-iters", "-1")])
+def test_se_out_of_range_rejected(tmp_path, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path, "se", "--B", "2", "--R", "1.2", flag, value, *FAST)
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from scse import (EntropyTable, MCConfig, MmseTable, UnderlyingParams,
-                  build_tables, default_n_samples, denoise_section,
-                  entropy_estimate, gaussian_block, isotonic_increasing,
-                  mmse_estimate)
+from scse import (MCConfig, MonotoneTable, UnderlyingParams, build_tables,
+                  default_n_samples, denoise_section, entropy_estimate,
+                  gaussian_block, isotonic_increasing, mmse_estimate)
 from scse.denoiser import default_sigma_span, section_stats
 
 from oracles import (b2_entropy_quad, b2_mmse_quad, b2_posterior_weight_quad,
@@ -190,7 +189,7 @@ def test_default_sigma_span():
 
 def test_build_tables_basic(params_b2, tables_b2):
     mmse_t, ent_t = tables_b2
-    assert isinstance(mmse_t, MmseTable) and isinstance(ent_t, EntropyTable)
+    assert isinstance(mmse_t, MonotoneTable) and isinstance(ent_t, MonotoneTable)
     for t, hi in ((mmse_t, 0.5), (ent_t, 1.0)):
         assert (np.diff(t.values) >= 0).all()
         assert t.values[0] >= 0.0 and t.values[-1] <= hi

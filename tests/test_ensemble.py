@@ -145,3 +145,20 @@ def test_matrix_csv(tmp_path):
     parsed = np.array([[float(tok) for tok in line.split(",")] for line in lines[1:]])
     np.testing.assert_array_equal(parsed, M.J)
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_atomic_write_failure_keeps_target(tmp_path):
+    from scse.ensemble import atomic_write
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+
+    def chunks():
+        yield "new first line\n"
+        raise RuntimeError("disk went away")
+
+    with pytest.raises(RuntimeError):
+        atomic_write(path, chunks())
+    assert path.read_text() == "old\n"
+    assert not list(tmp_path.glob("*.tmp"))
+    atomic_write(path, iter(["a,", "b\n"]))
+    assert path.read_text() == "a,b\n"

@@ -29,7 +29,7 @@ def test_large_B_limits_closed_form():
 
 def _search(success_fn, e0_fn, tol_R=2e-3):
     def ev(R):
-        return _Eval(R, success_fn(R), e0_fn(R), {})
+        return _Eval(success_fn(R), e0_fn(R), {})
     return _ThresholdSearch(ev, tol_R)
 
 
