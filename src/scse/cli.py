@@ -5,10 +5,10 @@ come from a JSON config file (--config); explicit flags override file values.
 Every artifact embeds the resolved configuration, outputs are written
 atomically (temp file + rename), and identical configs produce byte-identical
 files.  A THREADS environment variable is accepted for compatibility and
-validated, but nothing reads it, so it never changes results.  The computations
-are not all single-threaded: the dense coupled-recursion matvecs run on the BLAS
-thread pool (set OPENBLAS_NUM_THREADS=1 to pin them).  The threshold numbers do
-not depend on that thread count.
+validated, but nothing reads it, so it never changes results.  Every
+computation is single-threaded: the coupled recursion applies its banded
+coupling matrix as a convolution, with no matrix product and so no work on the
+BLAS thread pool.
 """
 
 from __future__ import annotations

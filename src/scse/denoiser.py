@@ -223,9 +223,7 @@ class MonotoneTable:
 
     def __call__(self, sigma):
         x = np.asarray(sigma, dtype=float)
-        out = np.interp(x, self.sigma_grid, self.values)
-        out = np.where(x < self.sigma_grid[0], self.lo_value, out)
-        out = np.where(x > self.sigma_grid[-1], self.hi_value, out)
+        out = np.interp(x, self.sigma_grid, self.values, left=self.lo_value, right=self.hi_value)
         if np.ndim(sigma) == 0:
             return float(out)
         return out

@@ -175,19 +175,52 @@ def effective_rate(params: CoupledParams) -> float:
     return params.underlying.R * (1.0 - 8.0 * params.w / params.Gamma)
 
 
+def _band_row(taps: np.ndarray, Gamma: int, r: int) -> np.ndarray:
+    """Row r (0-based) of the unnormalized band: taps[r-c+w] at column c, zero elsewhere."""
+    w = (taps.size - 1) // 2
+    lo, hi = max(r - w, 0), min(r + w + 1, Gamma)
+    row = np.zeros(Gamma)
+    row[lo:hi] = taps[::-1][lo - r + w: hi - r + w]
+    return row
+
+
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """Gamma x Gamma variance matrix with row-normalization factors gamma.
+    """Gamma x Gamma variance matrix J[r][c] = gamma_r * taps[r-c+w], held as its band.
 
-    Row means are exactly 1; column means are exactly 1 on the interior
-    columns {2w+1 .. Gamma-2w} (1-based); entries vanish beyond |r-c| > w.
+    taps are the 2w+1 values Gamma*g(k/w)/(2w+1), k = -w..w, and gamma the
+    row-normalization factors.  Row means are exactly 1; column means are
+    exactly 1 on the interior columns {2w+1 .. Gamma-2w} (1-based); entries
+    vanish beyond |r-c| > w.  matvec and rmatvec apply J and its transpose as
+    convolutions in O(Gamma*w); the dense J is assembled only on request.
     """
 
-    J: np.ndarray
+    taps: np.ndarray
     gamma: np.ndarray
     Gamma: int
     w: int
     design_kind: str
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """J @ x."""
+        return self.gamma * np.convolve(x, self.taps, "same")
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """J.T @ y."""
+        return np.convolve(self.gamma * y, self.taps[::-1], "same")
+
+    def _rows(self):
+        """The rows of the dense J, one array at a time."""
+        for r in range(self.Gamma):
+            yield self.gamma[r] * _band_row(self.taps, self.Gamma, r)
+
+    @property
+    def J(self) -> np.ndarray:
+        """The dense Gamma x Gamma matrix, assembled on each access."""
+        J = np.empty((self.Gamma, self.Gamma))
+        for r, row in enumerate(self._rows()):
+            J[r] = row
+        return J
 
     def interior_columns(self) -> np.ndarray:
         """0-based indices of the variance-symmetric columns."""
@@ -195,7 +228,7 @@ class CouplingMatrix:
 
     def to_csv(self, path) -> None:
         header = f"# J matrix Gamma={self.Gamma} w={self.w} design={self.design_kind}\n"
-        rows = (",".join(repr(float(v)) for v in row) + "\n" for row in self.J)
+        rows = (",".join(repr(float(v)) for v in row) + "\n" for row in self._rows())
         atomic_write(path, itertools.chain([header], rows))
 
 
@@ -204,19 +237,13 @@ def build_coupling_matrix(params: CoupledParams) -> CouplingMatrix:
 
     Interior rows come out with gamma_r = 1 because the discrete samples of g
     average to 1; rows within w of either edge lose part of their band and are
-    renormalized so every row mean is exactly 1.
+    renormalized so every row mean is exactly 1.  Each edge row is summed as a
+    zero-padded length-Gamma row, in the order a dense row sum would use.
     """
     Gamma, w = params.Gamma, params.w
-    g = params.design.sample(w)
-    J = np.zeros((Gamma, Gamma))
-    rows = np.arange(Gamma)
-    for k in range(-w, w + 1):
-        c = rows - k
-        ok = (c >= 0) & (c < Gamma)
-        J[rows[ok], c[ok]] = Gamma * g[k + w] / (2 * w + 1)
-    row_sums = J.sum(axis=1)
-    gamma = Gamma / row_sums
-    gamma[w: Gamma - w] = 1.0  # full-band rows need no correction
-    J *= gamma[:, None]
-    return CouplingMatrix(J=J, gamma=gamma, Gamma=Gamma, w=w,
+    taps = Gamma * params.design.sample(w) / (2 * w + 1)
+    gamma = np.ones(Gamma)
+    for r in itertools.chain(range(w), range(Gamma - w, Gamma)):
+        gamma[r] = Gamma / _band_row(taps, Gamma, r).sum()
+    return CouplingMatrix(taps=taps, gamma=gamma, Gamma=Gamma, w=w,
                           design_kind=params.design.kind)

@@ -100,7 +100,7 @@ def potential_coupled(profile: ErrorProfile, J: CouplingMatrix,
     """Row energies minus column entropies; unnormalized block sum."""
     _, entropy_table = tables
     U = sum(potential_energy_underlying(float(e), params) for e in profile.values)
-    sigma_cols = _inverse_noise_moment(profile.values, J.J, params) ** -0.5
+    sigma_cols = _inverse_noise_moment(profile.values, J, params) ** -0.5
     S = float(np.sum(entropy_table(sigma_cols)))
     return U - S
 

@@ -167,27 +167,29 @@ def basin_boundary(params: UnderlyingParams, table: MonotoneTable,
     return 0.5 * (lo + hi)
 
 
-def _inverse_noise_moment(values: np.ndarray, J: np.ndarray, params: UnderlyingParams) -> np.ndarray:
+def _inverse_noise_moment(values: np.ndarray, J: CouplingMatrix,
+                          params: UnderlyingParams) -> np.ndarray:
     """Vector of (1/Gamma) sum_r J[r][c] / (R (sigma2 + E_r)) over columns c."""
     weights = 1.0 / (params.R * (params.sigma2 + values))
-    return (J.T @ weights) / J.shape[0]
+    return J.rmatvec(weights) / J.Gamma
 
 
 def se_step_coupled(profile: ErrorProfile, J: CouplingMatrix,
                     params: UnderlyingParams, table: MonotoneTable) -> ErrorProfile:
     """One profile update with the boundary sections pinned to zero MSE.
 
-    Pinning acts on the section MSEs (columns); the zero rows at the profile
-    level then follow from bandedness and are asserted, not enforced.
+    Pinning acts on the section MSEs (the 4w columns at each end, see
+    pinned_columns); the 3w zero rows at each end of the profile then follow
+    from bandedness and are asserted, not enforced.
     """
     Gamma, w = profile.Gamma, profile.w
-    moment = _inverse_noise_moment(profile.values, J.J, params)
+    moment = _inverse_noise_moment(profile.values, J, params)
     sigma_cols = moment ** -0.5
     tilde = np.asarray(table(sigma_cols), dtype=float)
-    tilde[pinned_columns(Gamma, w)] = 0.0
-    nxt = (J.J @ tilde) / Gamma
-    rows = pinned_rows(Gamma, w)
-    if np.any(nxt[rows] != 0.0):
+    tilde[:4 * w] = 0.0
+    tilde[-4 * w:] = 0.0
+    nxt = J.matvec(tilde) / Gamma
+    if np.any(nxt[:3 * w] != 0.0) or np.any(nxt[-3 * w:] != 0.0):
         raise AssertionError("pinned rows came out nonzero; coupling matrix is malformed")
     return ErrorProfile(nxt, Gamma, w)
 

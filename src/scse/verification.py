@@ -82,7 +82,7 @@ def verify_telescoping(saturated: SaturatedProfile, J: CouplingMatrix,
     residual = abs(lhs - rhs)
 
     def entropy_noise(values):
-        sig = _inverse_noise_moment(values, J.J, params) ** -0.5
+        sig = _inverse_noise_moment(values, J, params) ** -0.5
         return sum(entropy_table.stderr_at(s) ** 2 for s in sig)
 
     noise = math.sqrt(entropy_noise(E) + entropy_noise(SE_vals)

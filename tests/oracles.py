@@ -101,6 +101,26 @@ def direct_coupling_matrix(Gamma, w, shape):
     return np.array(J)
 
 
+def dense_coupling_matrix(Gamma, w, g):
+    """Dense Gamma x Gamma build from the 2w+1 design samples g (mean 1).
+
+    Fills the band diagonal by diagonal, sums each full zero-padded row with
+    numpy and rescales only the rows within w of an edge: the same operations
+    in the same order as a dense construction, so results are bit-comparable.
+    Returns (J, gamma).
+    """
+    J = np.zeros((Gamma, Gamma))
+    rows = np.arange(Gamma)
+    for k in range(-w, w + 1):
+        c = rows - k
+        ok = (c >= 0) & (c < Gamma)
+        J[rows[ok], c[ok]] = Gamma * g[k + w] / (2 * w + 1)
+    gamma = Gamma / J.sum(axis=1)
+    gamma[w: Gamma - w] = 1.0
+    J *= gamma[:, None]
+    return J, gamma
+
+
 def direct_sigma_coupled(E, J, R, sigma2, c):
     """Column effective noise by direct summation; c is 1-based."""
     Gamma = len(E)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,14 @@ import pytest
 from scse import (CoupledParams, UnderlyingParams,
                   asymmetric_exponential_design, build_coupling_matrix,
                   effective_rate, make_design, measurement_rate,
-                  rectangular_design, triangular_design)
+                  ones_profile, rectangular_design, se_step_coupled,
+                  triangular_design)
 from scse.ensemble import DesignFunction
 
-from oracles import direct_coupling_matrix
+from oracles import dense_coupling_matrix, direct_coupling_matrix
+
+DESIGNS = [("rectangular", None), ("triangular", 0.5), ("asymmetric-exponential", 1.0)]
+OPERATOR_SIZES = [(17, 2), (64, 3), (100, 12), (1024, 32), (4096, 64)]
 
 
 def test_underlying_params_basic():
@@ -144,7 +149,57 @@ def test_matrix_csv(tmp_path):
     assert lines[0] == "# J matrix Gamma=24 w=2 design=triangular"
     parsed = np.array([[float(tok) for tok in line.split(",")] for line in lines[1:]])
     np.testing.assert_array_equal(parsed, M.J)
+    J, _ = dense_coupling_matrix(24, 2, triangular_design(0.5).sample(2))
+    want = lines[0] + "\n" + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in J)
+    assert path.read_bytes() == want.encode()
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def _coupling(Gamma, w, kind, param):
+    design = make_design(kind, param)
+    return build_coupling_matrix(CoupledParams(UnderlyingParams(2, 1.0, 0.1), Gamma, w, design))
+
+
+@pytest.mark.parametrize("kind,param", DESIGNS)
+@pytest.mark.parametrize("Gamma,w", OPERATOR_SIZES)
+def test_band_operator_matches_dense(Gamma, w, kind, param):
+    M = _coupling(Gamma, w, kind, param)
+    J = M.J
+    rng = np.random.default_rng(Gamma + w)
+    for _ in range(3):
+        x = rng.uniform(0.0, 1.0, Gamma)
+        for got, want in ((M.matvec(x), J @ x), (M.rmatvec(x), J.T @ x)):
+            assert got.shape == (Gamma,)
+            rel = np.abs(got - want) / np.abs(want)
+            assert rel.max() <= 1e-13
+            # the 2w edge rows and columns carry the gamma correction
+            assert rel[:2 * w].max() <= 1e-13 and rel[-2 * w:].max() <= 1e-13
+
+
+@pytest.mark.parametrize("kind,param", DESIGNS)
+@pytest.mark.parametrize("Gamma,w", OPERATOR_SIZES[:4] + [(40, 3), (64, 1)])
+def test_band_matrix_bit_equal_to_dense_build(Gamma, w, kind, param):
+    M = _coupling(Gamma, w, kind, param)
+    J, gamma = dense_coupling_matrix(Gamma, w, make_design(kind, param).sample(w))
+    assert np.array_equal(M.gamma, gamma)
+    assert np.array_equal(M.J, J)
+    assert M.taps.shape == (2 * w + 1,)
+
+
+def test_coupled_step_allocates_no_dense_matrix(tables_b4, params_b4):
+    # a dense Gamma=4096 J alone is 134 MB; the band and the profile vectors
+    # are a few hundred kB
+    Gamma, w = 4096, 64
+    tracemalloc.start()
+    try:
+        M = build_coupling_matrix(CoupledParams(params_b4, Gamma, w, rectangular_design()))
+        prof = ones_profile(Gamma, w)
+        for _ in range(5):
+            prof = se_step_coupled(prof, M, params_b4, tables_b4[0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_atomic_write_failure_keeps_target(tmp_path):

@@ -110,7 +110,7 @@ def test_sigma_coupled_matches_direct(params_b4, tables_b4):
     rng = np.random.default_rng(5)
     vals = rng.uniform(0, 1, 20)
     prof = ErrorProfile(vals, 20, 2)
-    sigma_cols = _inverse_noise_moment(prof.values, J.J, params_b4) ** -0.5
+    sigma_cols = _inverse_noise_moment(prof.values, J, params_b4) ** -0.5
     for c in (1, 7, 20):
         want = direct_sigma_coupled(vals.tolist(), J.J.tolist(), params_b4.R,
                                     params_b4.sigma2, c)

@@ -150,6 +150,10 @@ def test_amp_threshold_coupled_b4_small():
     # coupling must push the decodable rate well past the underlying threshold
     assert rep.value > ru.value + 0.02
     assert rep.metadata["Gamma"] == 48 and rep.metadata["w"] == 2
+    # frozen: round-off changes in the coupled operator must not move the bisection
+    assert rep.value == 1.638671875
+    assert (rep.bracket_lo, rep.bracket_hi) == (1.63671875, 1.640625)
+    assert rep.evaluations == 17
 
 
 def _three_solves(p, factories, tol_R):
