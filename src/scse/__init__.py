@@ -7,8 +7,8 @@ from .denoiser import (Estimate, MCConfig, MonotoneTable, build_tables,
                        gaussian_block, isotonic_increasing, mmse_estimate)
 from .ensemble import (CoupledParams, CouplingMatrix, DesignFunction,
                        UnderlyingParams, asymmetric_exponential_design,
-                       build_coupling_matrix, effective_rate, make_design,
-                       measurement_rate, rectangular_design,
+                       build_coupling_matrix, capacity, effective_rate,
+                       make_design, measurement_rate, rectangular_design,
                        triangular_design)
 from .potential import (GapReport, PotentialCurve, free_energy_gap,
                         potential_coupled, potential_curve,
@@ -26,7 +26,7 @@ from .state_evolution import (DEGRADED_EQUAL, INCOMPARABLE, REVERSED,
                               zeros_profile)
 from .thresholds import (BracketingError, MonotonicityError, ThresholdReport,
                          ThresholdSearchError, amp_threshold_coupled,
-                         amp_threshold_underlying, capacity, large_B_limits,
+                         amp_threshold_underlying, large_B_limits,
                          make_tables_factory, potential_threshold)
 from .verification import (LemmaReport, i_mmse_report, nishimori_report,
                            run_suite, shift_potential_scaling,

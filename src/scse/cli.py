@@ -23,13 +23,12 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .denoiser import MCConfig, build_tables, default_n_samples
-from .ensemble import (CoupledParams, UnderlyingParams, atomic_write,
-                       build_coupling_matrix, make_design)
+from .ensemble import (RATE_CAP, CoupledParams, UnderlyingParams, atomic_write,
+                       build_coupling_matrix, capacity, make_design)
 from .potential import free_energy_gap, potential_curve, potential_large_B
 from .state_evolution import iterate_coupled, iterate_underlying, ones_profile
-from .thresholds import (ThresholdSearchError, capacity, amp_threshold_coupled,
-                         amp_threshold_underlying, make_tables_factory,
-                         potential_threshold)
+from .thresholds import (ThresholdSearchError, amp_threshold_coupled,
+                         amp_threshold_underlying, potential_threshold)
 from .verification import run_suite
 
 
@@ -53,6 +52,10 @@ class RunConfig:
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
+        # the lookup tables end at the largest Sigma a rate of RATE_CAP * C reaches
+        if self.R is not None and self.R > RATE_CAP * capacity(self.snr):
+            raise ValueError(f"R must be at most {RATE_CAP:g} times capacity, "
+                             f"{RATE_CAP * capacity(self.snr):.6g}")
 
     @property
     def sigma2(self) -> float:
@@ -175,10 +178,10 @@ def cmd_potential(cfg: RunConfig) -> int:
 
 def _threshold_row(cfg: RunConfig):
     base = UnderlyingParams(B=cfg.B, R=0.5 * capacity(cfg.snr), sigma2=cfg.sigma2)
-    factory = make_tables_factory(base, cfg.mc(), n_points=cfg.n_points)
-    r_u = amp_threshold_underlying(base, factory, cfg.tol_R, cfg.tol, cfg.max_iters)
-    r_pot = potential_threshold(base, factory, cfg.tol_R, cfg.tol, cfg.max_iters)
-    r_c = amp_threshold_coupled(base, cfg.Gamma, cfg.w, factory, cfg.tol_R,
+    tables = build_tables(base, cfg.mc(), n_points=cfg.n_points)
+    r_u = amp_threshold_underlying(base, tables, cfg.tol_R, cfg.tol, cfg.max_iters)
+    r_pot = potential_threshold(base, tables, cfg.tol_R, cfg.tol, cfg.max_iters)
+    r_c = amp_threshold_coupled(base, cfg.Gamma, cfg.w, tables, cfg.tol_R,
                                 cfg.design_fn(), cfg.tol, cfg.max_iters)
     return r_u, r_pot, r_c
 

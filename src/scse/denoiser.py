@@ -11,8 +11,9 @@ and the posterior mean is the softmax of u, evaluated in log-domain.
 Randomness is counter-based: sample i, component j always consumes uniform
 word i*B+j of a Philox stream keyed by the seed, mapped through the inverse
 normal CDF.  Estimates are therefore bit-identical for a given
-(seed, n_samples) no matter how the loop is chunked, and every grid node or
-rate reuses the same underlying Gaussians (common random numbers).
+(seed, n_samples) no matter how the loop is chunked, and every grid node
+reuses the same underlying Gaussians (common random numbers).  R enters only
+through Sigma(E) = sqrt(R (sigma2 + E)), so one table pair serves every rate.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .ensemble import UnderlyingParams, atomic_write
+from .ensemble import RATE_CAP, RATE_FLOOR, UnderlyingParams, atomic_write, capacity
 
 _CHUNK = 65536  # even; fixed so accumulation order never depends on n_samples
 
@@ -115,6 +116,10 @@ def section_stats(z: np.ndarray, sigma: float, B: int) -> dict:
     u = _scores(z, sigma, B)
     u -= u.max(axis=1)[:, None]
     u1 = u[:, 0].copy()
+    # exp(-300) < 1e-130 is lost against the largest term exp(0) = 1 in every
+    # sum below, and 1 - f1 rounds to 1 either way; clipping only keeps exp and
+    # the squares out of the slow underflow and subnormal range at small sigma
+    np.maximum(u, -300.0, out=u)
     np.exp(u, out=u)
     tot = u.sum(axis=1)
     f1 = u[:, 0] / tot
@@ -232,7 +237,7 @@ class MonotoneTable:
         return float(np.interp(sigma, self.sigma_grid, self.stderrs))
 
     def to_csv(self, path) -> None:
-        head = ("# B={B} R={R} sigma2={sigma2} seed={seed} n_samples={n_samples} kind={kind}\n"
+        head = ("# B={B} sigma2={sigma2} seed={seed} n_samples={n_samples} kind={kind}\n"
                 .format(**self.meta))
         rows = (f"{float(s)!r},{float(v)!r},{float(e)!r}\n"
                 for s, v, e in zip(self.sigma_grid, self.values, self.stderrs))
@@ -240,28 +245,23 @@ class MonotoneTable:
 
 
 def default_sigma_span(params: UnderlyingParams) -> tuple:
-    """Two decades below the zero-error noise, two above the worst case."""
-    return (1e-2 * math.sqrt(params.R * params.sigma2),
-            1e2 * math.sqrt(params.R * (params.sigma2 + 1.0)))
+    """Every Sigma = sqrt(R (sigma2 + E)) with R in [RATE_FLOOR C, RATE_CAP C]
+    and E in [0, 1]; params.R plays no part."""
+    C = capacity(params.snr)
+    return (math.sqrt(RATE_FLOOR * C * params.sigma2),
+            math.sqrt(RATE_CAP * C * (params.sigma2 + 1.0)))
 
 
-def build_tables(params: UnderlyingParams, mc: MCConfig,
-                 sigma_min: float | None = None, sigma_max: float | None = None,
-                 n_points: int = 256) -> tuple:
+def build_tables(params: UnderlyingParams, mc: MCConfig, n_points: int = 256) -> tuple:
     """Build the mmse and entropy tables in one pass over the sample stream.
 
     Common random numbers: every node sees the same z rows, so adjacent-node
     differences are far less noisy than independent estimates, and downstream
-    bisections in R or E see smooth curves.
+    bisections in R or E see smooth curves.  The tables ignore params.R.
     """
-    lo, hi = default_sigma_span(params)
-    sigma_min = lo if sigma_min is None else sigma_min
-    sigma_max = hi if sigma_max is None else sigma_max
-    if not 0 < sigma_min < sigma_max:
-        raise ValueError("need 0 < sigma_min < sigma_max")
     if n_points < 16:
         raise ValueError("n_points must be at least 16")
-    grid = np.geomspace(sigma_min, sigma_max, n_points)
+    grid = np.geomspace(*default_sigma_span(params), n_points)
     keys = ("mmse", "entropy")
 
     def per_chunk(z):
@@ -282,7 +282,7 @@ def build_tables(params: UnderlyingParams, mc: MCConfig,
         values = np.clip(isotonic_increasing(means[j::4]), 0.0, top)
         gaps = np.abs(np.diff(values))
         coarse = gaps > 10.0 * np.maximum(node_stderrs[:-1], node_stderrs[1:])
-        meta = {"B": params.B, "R": params.R, "sigma2": params.sigma2,
+        meta = {"B": params.B, "sigma2": params.sigma2,
                 "seed": mc.seed, "n_samples": mc.n_samples, "kind": key}
         tables.append(MonotoneTable(sigma_grid=grid, values=values, stderrs=node_stderrs,
                                     diff_stderrs=stderrs[2 + j::4], lo_value=0.0,

@@ -69,6 +69,18 @@ class UnderlyingParams:
         return UnderlyingParams(self.B, R, self.sigma2)
 
 
+# The threshold searches confine R to [RATE_FLOOR * C, RATE_CAP * C], and the
+# lookup tables cover every effective noise those rates reach for E in [0, 1].
+RATE_FLOOR = 1.0 / 256.0
+RATE_CAP = 4.0
+
+
+def capacity(snr: float) -> float:
+    if not snr > 0:
+        raise ValueError("snr must be positive")
+    return 0.5 * math.log2(1.0 + snr)
+
+
 def measurement_rate(params: UnderlyingParams) -> float:
     """log2(B)/(B*R), the ratio of channel uses to signal dimensions."""
     return params.log2B / (params.B * params.R)

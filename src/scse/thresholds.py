@@ -1,8 +1,10 @@
 """Bisection solvers for the algorithmic and potential thresholds.
 
 All three solvers share one search skeleton: expand a bracket geometrically
-from half capacity until the success predicate flips, then bisect.  Two
-complications are handled beyond plain bisection:
+from half capacity until the success predicate flips, then bisect, within
+R in [RATE_FLOOR C, RATE_CAP C].  Each reads one (mmse, entropy) table pair
+from build_tables at every candidate rate, as the tables do not depend on R.
+Two complications are handled beyond plain bisection:
 
 * The MSE floor E_0(R) can disappear through a fold: beyond it, iterations
   from 0 and from 1 meet again at the surviving high fixed point and the
@@ -26,9 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .denoiser import MCConfig, default_n_samples, build_tables
-from .ensemble import (CoupledParams, DesignFunction, UnderlyingParams,
-                       build_coupling_matrix, rectangular_design)
+from .denoiser import build_tables
+from .ensemble import (RATE_CAP, RATE_FLOOR, CoupledParams, DesignFunction,
+                       UnderlyingParams, build_coupling_matrix, capacity,
+                       rectangular_design)
 from .potential import free_energy_gap
 from .state_evolution import (DEFAULT_MAX_ITERS, DEFAULT_TOL, coupled_decode,
                               fixed_point_tolerance, iterate_underlying)
@@ -58,12 +61,6 @@ class MonotonicityError(ThresholdSearchError):
     """The classified predicate history is not true-then-false in R."""
 
 
-def capacity(snr: float) -> float:
-    if not snr > 0:
-        raise ValueError("snr must be positive")
-    return 0.5 * math.log2(1.0 + snr)
-
-
 def large_B_limits(params: UnderlyingParams) -> tuple:
     """Closed-form limits of the two thresholds as the section size grows."""
     lim_alg = 1.0 / ((1.0 + params.sigma2) * 2.0 * math.log(2.0))
@@ -87,24 +84,9 @@ class _Eval:
     extras: dict
 
 
-def make_tables_factory(params: UnderlyingParams, mc: MCConfig | None = None,
-                        n_points: int = 256):
-    """Per-rate table builder with a shared sample stream across rates.
-
-    Tables are cached per rate for the factory's lifetime, so solvers that
-    share one factory build each candidate rate's tables only once.
-    """
-    if mc is None:
-        mc = MCConfig(seed=0, n_samples=default_n_samples(params.B))
-    built = {}
-
-    def factory(R: float):
-        if R not in built:
-            built[R] = build_tables(params.with_rate(R), mc, n_points=n_points)
-        return built[R]
-
-    factory.mc = mc
-    return factory
+# The saturation workload of the benchmark (perfbench/workloads.py) still
+# builds its tables under this name.
+make_tables_factory = build_tables
 
 
 class _ThresholdSearch:
@@ -203,35 +185,32 @@ class _ThresholdSearch:
         return lo, hi
 
 
-def _solve_report(kind: str, ev, params: UnderlyingParams, tables_factory,
+def _solve_report(kind: str, ev, params: UnderlyingParams, tables,
                   tol_R: float, extra_meta: dict) -> ThresholdReport:
-    """Search with ev(R, tables) as the predicate; tables come from
-    tables_factory(R), a fresh make_tables_factory(params) when None."""
-    if tables_factory is None:
-        tables_factory = make_tables_factory(params)
-    search = _ThresholdSearch(lambda R: ev(R, tables_factory(R)), tol_R)
+    """Search with ev(R) as the predicate; tables only supply the seed."""
+    search = _ThresholdSearch(ev, tol_R)
     C = capacity(params.snr)
-    lo, hi = search.solve(R_start=0.5 * C, R_cap=4.0 * C, R_floor=C / 256.0)
+    lo, hi = search.solve(R_start=0.5 * C, R_cap=RATE_CAP * C, R_floor=RATE_FLOOR * C)
     metadata = {"kind": kind, "B": params.B, "sigma2": params.sigma2,
                 "snr": params.snr, **extra_meta, "tol_R": tol_R,
-                "seed": getattr(tables_factory, "mc", None) and tables_factory.mc.seed,
+                "seed": tables[0].meta["seed"],
                 "history": search.history(), "fold_R": search.fold_R}
     return ThresholdReport(value=0.5 * (lo + hi), bracket_lo=lo, bracket_hi=hi,
                            tol=tol_R, evaluations=len(search.evals),
                            metadata=metadata)
 
 
-def amp_threshold_underlying(params: UnderlyingParams, tables_factory=None,
+def amp_threshold_underlying(params: UnderlyingParams, tables,
                              tol_R: float = DEFAULT_TOL_R,
                              tol: float = DEFAULT_TOL,
                              max_iters: int = DEFAULT_MAX_ITERS) -> ThresholdReport:
     """Largest rate at which the worst-case start still reaches the floor.
 
-    params.R is ignored; the rate is the search variable.  Each candidate rate
-    gets its own tables from the same sample stream, so the predicate sees
-    smooth curves in R.
+    params.R is ignored; the rate is the search variable.  Every candidate rate
+    reads the same (mmse, entropy) tables, so the predicate sees smooth curves
+    in R.
     """
-    def ev(R: float, tables) -> _Eval:
+    def ev(R: float) -> _Eval:
         p = params.with_rate(R)
         mmse_t, _ = tables
         r0 = iterate_underlying(0.0, p, mmse_t, tol, max_iters)
@@ -240,26 +219,26 @@ def amp_threshold_underlying(params: UnderlyingParams, tables_factory=None,
         return _Eval(abs(r1.final - r0.final) <= radius, r0.final,
                      {"E1": r1.final, "radius": radius})
 
-    return _solve_report("amp_underlying", ev, params, tables_factory, tol_R, {})
+    return _solve_report("amp_underlying", ev, params, tables, tol_R, {})
 
 
-def potential_threshold(params: UnderlyingParams, tables_factory=None,
+def potential_threshold(params: UnderlyingParams, tables,
                         tol_R: float = DEFAULT_TOL_R,
                         tol: float = DEFAULT_TOL,
                         max_iters: int = DEFAULT_MAX_ITERS) -> ThresholdReport:
     """Largest rate with a positive free-energy gap."""
-    def ev(R: float, tables) -> _Eval:
+    def ev(R: float) -> _Eval:
         p = params.with_rate(R)
         gap = free_energy_gap(p, tables, tol=tol, max_iters=max_iters)
         E0 = iterate_underlying(0.0, p, tables[0], tol, max_iters).final
         return _Eval(gap.delta_F > 0.0, E0,
                      {"delta_F": gap.delta_F, "basin_sup": gap.basin_sup})
 
-    return _solve_report("potential", ev, params, tables_factory, tol_R, {})
+    return _solve_report("potential", ev, params, tables, tol_R, {})
 
 
 def amp_threshold_coupled(params: UnderlyingParams, Gamma: int, w: int,
-                          tables_factory=None, tol_R: float = DEFAULT_TOL_R,
+                          tables, tol_R: float = DEFAULT_TOL_R,
                           design: DesignFunction | None = None,
                           tol: float = DEFAULT_TOL,
                           max_iters: int = COUPLED_MAX_ITERS) -> ThresholdReport:
@@ -272,12 +251,12 @@ def amp_threshold_coupled(params: UnderlyingParams, Gamma: int, w: int,
         design = rectangular_design()
     J = build_coupling_matrix(CoupledParams(params, Gamma, w, design))
 
-    def ev(R: float, tables) -> _Eval:
+    def ev(R: float) -> _Eval:
         run, E0, radius, decoded = coupled_decode(J, params.with_rate(R), tables[0],
                                                   tol, max_iters)
         return _Eval(decoded, E0,
                      {"profile_max": float(run.final.values.max()),
                       "iterations": run.iterations, "radius": radius})
 
-    return _solve_report("amp_coupled", ev, params, tables_factory, tol_R,
+    return _solve_report("amp_coupled", ev, params, tables, tol_R,
                          {"Gamma": Gamma, "w": w, "design": design.kind})

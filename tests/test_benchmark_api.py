@@ -1,10 +1,13 @@
 """The benchmark in perfbench/ reaches into scse by name; every name it uses
-must resolve, so a removal fails here rather than in a benchmark run."""
+must resolve and every workload must run and pass its checks, so a removal or
+a changed signature fails here rather than in a benchmark run."""
 
 import ast
 import importlib
 import importlib.util
 import os
+
+import pytest
 
 import scse
 
@@ -41,3 +44,28 @@ def test_workload_names_resolve():
     assert len(used) > 10
     for base, attr in used:
         assert hasattr(bound[base], attr), f"{base}.{attr}"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(PERFBENCH)
+        workloads = importlib.import_module("workloads")
+        checks = importlib.import_module("checks")
+        yield workloads, checks, checks.ReferenceB4()
+
+
+@pytest.mark.parametrize("name", ["thresholds-b4", "saturation-g1024", "verify-b16"])
+def test_workload_runs_and_passes_checks(tmp_path, bench, name):
+    workloads, checks, ref = bench
+    out = str(tmp_path / "out")
+    assert workloads.prepare(name, 1, out)() == 0
+    if name == "thresholds-b4":
+        problems = checks.check_thresholds(out, ref)
+    elif name == "saturation-g1024":
+        profiles = str(tmp_path / "profiles.json")
+        workloads.saturation_profiles(1, out, profiles)
+        problems = checks.check_saturation(out, profiles, ref)
+    else:
+        problems = checks.check_verify(out)
+    assert problems == []

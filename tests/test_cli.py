@@ -197,6 +197,47 @@ def test_threads_env_validated(tmp_path, monkeypatch):
     assert _run(tmp_path, "tables", "--B", "2", *FAST) == 0
 
 
+@pytest.fixture
+def counted_builds(monkeypatch):
+    from scse import cli
+    built = []
+
+    def counting(params, mc, *args, **kwargs):
+        built.append(params.B)
+        return build_tables(params, mc, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_tables", counting)
+    return built
+
+
+def test_thresholds_build_tables_once(tmp_path, counted_builds):
+    assert _run(tmp_path, "thresholds", "--B", "4", "--tol-R", "0.05",
+                "--gamma", "48", "--w", "2", *FAST) == 0
+    evaluations = sum(json.loads((tmp_path / f"threshold_{name}.json").read_text())["evaluations"]
+                      for name in ("underlying", "potential", "coupled"))
+    assert counted_builds == [4] and evaluations > 3
+
+
+def test_sweep_builds_tables_once_per_section_size(tmp_path, counted_builds):
+    assert main(["sweep", "--B-list", "4,8", "--tol-R", "0.1", "--gamma", "48",
+                 "--w", "2", "--samples", "2000", "--n-points", "32",
+                 "--outdir", str(tmp_path)]) == 0
+    assert counted_builds == [4, 8]
+
+
+@pytest.mark.parametrize("command", ["se", "potential", "tables", "thresholds"])
+def test_rate_above_table_span_rejected(tmp_path, command):
+    # the tables end at the largest Sigma a rate of 4C reaches; C = 2 at snr 15
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path, command, "--B", "2", "--R", "8.0001", *FAST)
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_rate_at_table_span_accepted(tmp_path):
+    assert _run(tmp_path, "se", "--B", "2", "--R", "8.0", "--max-iters", "3", *FAST) == 0
+
+
 def test_sweep_single_section_size(tmp_path):
     code = main(["sweep", "--B-list", "4", "--tol-R", "0.1", "--gamma", "48",
                  "--w", "2", "--samples", "2000", "--n-points", "32",

