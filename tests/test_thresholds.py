@@ -7,6 +7,7 @@ from scse import (BracketingError, MCConfig, MonotonicityError,
                   UnderlyingParams, amp_threshold_coupled,
                   amp_threshold_underlying, build_tables, capacity,
                   large_B_limits, potential_threshold)
+from scse import denoiser, thresholds
 from scse.thresholds import _Eval, _ThresholdSearch
 
 SIGMA2 = 1.0 / 15.0
@@ -153,6 +154,40 @@ def test_amp_threshold_coupled_b4_small():
     assert rep.value == 1.642578125
     assert (rep.bracket_lo, rep.bracket_hi) == (1.640625, 1.64453125)
     assert rep.evaluations == 17
+
+
+def _three_solves(p, tables, tol_R):
+    ru = amp_threshold_underlying(p, tables[0], tol_R)
+    rp = potential_threshold(p, tables[1], tol_R)
+    rc = amp_threshold_coupled(p, Gamma=48, w=2, tables=tables[2], tol_R=tol_R)
+    return ru, rp, rc
+
+
+def test_shared_factory_builds_each_rate_once(monkeypatch):
+    # one table pair serves every rate of all three solves: no solve builds
+    p = UnderlyingParams(B=4, R=1.0, sigma2=SIGMA2)
+    mc = MCConfig(seed=0, n_samples=20_000)
+    tables = build_tables(p, mc, n_points=96)
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        raise AssertionError("a solve rebuilt its tables")
+
+    monkeypatch.setattr(denoiser, "build_tables", counting)
+    monkeypatch.setattr(thresholds, "build_tables", counting)
+    shared = _three_solves(p, [tables] * 3, tol_R=0.01)
+    monkeypatch.undo()
+    rates = {row["R"] for rep in shared for row in rep.metadata["history"]}
+    assert built == [] and len(rates) > 1
+
+    # shared tables give the same reports as three independent builds
+    fresh = _three_solves(p, [build_tables(p, mc, n_points=96) for _ in range(3)],
+                          tol_R=0.01)
+    for a, b in zip(shared, fresh):
+        assert (a.value, a.bracket_lo, a.bracket_hi) == (b.value, b.bracket_lo, b.bracket_hi)
+        assert a.metadata["history"] == b.metadata["history"]
+        assert a == b
 
 
 def test_threshold_search_fails_when_monostable_b2():
