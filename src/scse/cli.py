@@ -5,10 +5,12 @@ come from a JSON config file (--config); explicit flags override file values.
 Every artifact embeds the resolved configuration, outputs are written
 atomically (temp file + rename), and identical configs produce byte-identical
 files.  A THREADS environment variable is accepted for compatibility and
-validated, but nothing reads it, so it never changes results.  Every
-computation is single-threaded: the coupled recursion applies its banded
-coupling matrix as a convolution, with no matrix product and so no work on the
-BLAS thread pool.
+validated, but nothing reads it, so it sizes nothing and never changes
+results.  The Monte-Carlo stage (tables and the denoiser identities) runs its
+jobs on a thread pool sized to the CPUs the process may use, and its results
+are bit-identical whatever that count is.  The rest is single-threaded: the
+coupled recursion applies its banded coupling matrix as a convolution, with no
+matrix product and so no work on the BLAS thread pool.
 """
 
 from __future__ import annotations

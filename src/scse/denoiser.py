@@ -14,12 +14,21 @@ normal CDF.  Estimates are therefore bit-identical for a given
 (seed, n_samples) no matter how the loop is chunked, and every grid node
 reuses the same underlying Gaussians (common random numbers).  R enters only
 through Sigma(E) = sqrt(R (sigma2 + E)), so one table pair serves every rate.
+
+stream_moments runs the per-chunk jobs of every estimator on a thread pool
+sized to the CPUs the process may use (numpy releases the interpreter lock in
+its loops).  Each statistic's chunk sum is the same numpy call on the same
+array whichever thread makes it, and the sums are added in stream order, so
+results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,14 +36,20 @@ from scipy.special import ndtri
 
 from .ensemble import RATE_CAP, RATE_FLOOR, UnderlyingParams, atomic_write, capacity
 
-_CHUNK = 65536  # even; fixed so accumulation order never depends on n_samples
+_CHUNK = 65536  # fixed so accumulation order never depends on n_samples
+# elements per row tile of the sampling and kernel loops (4096 rows at B=16):
+# 512 KB of doubles, so each tile's passes stay in a 2 MB L2 cache, yet large
+# enough that the per-tile interpreter overhead stays small even at B=4; row
+# results do not depend on it
+_TILE = 65536
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
 class MCConfig:
     seed: int
     n_samples: int
-    antithetic: bool = False
 
     def __post_init__(self):
         if int(self.seed) != self.seed or not 0 <= self.seed < 2 ** 64:
@@ -65,6 +80,13 @@ def _chunks(n):
         start = stop
 
 
+def _tiles(start: int, stop: int, B: int):
+    """Row ranges of about _TILE elements each, covering rows start..stop-1."""
+    step = max(1, _TILE // B)
+    for a in range(start, stop, step):
+        yield a, min(a + step, stop)
+
+
 def _uniform_words(seed: int, word_start: int, n_words: int) -> np.ndarray:
     """Uniform doubles word_start..word_start+n_words-1 of the Philox stream.
 
@@ -78,23 +100,19 @@ def _uniform_words(seed: int, word_start: int, n_words: int) -> np.ndarray:
     return np.random.Generator(bg).random(pad + n_words)[pad:]
 
 
-def gaussian_block(seed: int, B: int, start: int, stop: int, antithetic: bool = False) -> np.ndarray:
+def gaussian_block(seed: int, B: int, start: int, stop: int) -> np.ndarray:
     """Rows start..stop-1 of the deterministic sample-by-sample normal stream.
 
     The (rows, B) block is column-major, so each component is one contiguous
-    column and section_stats reduces across components column by column.
+    column and section_stats reduces across components column by column.  It
+    is drawn tile by tile, so only one tile of uniform words is alive at once.
     """
-    if not antithetic:
-        u = _uniform_words(seed, start * B, (stop - start) * B).reshape(stop - start, B)
-        return ndtri(np.maximum(u, 1e-300), order="F")
-    # pairs (2k, 2k+1) share base row k with flipped sign
-    b0, b1 = start // 2, (stop + 1) // 2
-    u = _uniform_words(seed, b0 * B, (b1 - b0) * B).reshape(b1 - b0, B)
-    base = ndtri(np.maximum(u, 1e-300))
-    out = np.repeat(base, 2, axis=0)
-    signs = np.where((np.arange(2 * b0, 2 * b1) % 2) == 0, 1.0, -1.0)
-    out *= signs[:, None]
-    return np.asfortranarray(out[start - 2 * b0: stop - 2 * b0])
+    z = np.empty((stop - start, B), order="F")
+    for a, b in _tiles(start, stop, B):
+        u = _uniform_words(seed, a * B, (b - a) * B).reshape(b - a, B)
+        np.maximum(u, 1e-300, out=u)
+        ndtri(u, out=z[a - start:b - start])
+    return z
 
 
 def _scores(z: np.ndarray, sigma: float, B: int) -> np.ndarray:
@@ -112,20 +130,27 @@ def section_stats(z: np.ndarray, sigma: float, B: int) -> dict:
       f1:      posterior weight of the transmitted component, e_1 / sum e
       mmse:    sum_i (f_i - s_i)^2 = sum e^2 / (sum e)^2 - 2 f_1 + 1
       entropy: log_B of the posterior-odds sum = (log sum e - (u_1 - max u))/ln(B)
+    The rows are walked in cache-sized tiles; numpy reduces a column-major
+    tile across components one column at a time, so no row depends on the
+    tiling.
     """
-    u = _scores(z, sigma, B)
-    u -= u.max(axis=1)[:, None]
-    u1 = u[:, 0].copy()
-    # exp(-300) < 1e-130 is lost against the largest term exp(0) = 1 in every
-    # sum below, and 1 - f1 rounds to 1 either way; clipping only keeps exp and
-    # the squares out of the slow underflow and subnormal range at small sigma
-    np.maximum(u, -300.0, out=u)
-    np.exp(u, out=u)
-    tot = u.sum(axis=1)
-    f1 = u[:, 0] / tot
-    np.square(u, out=u)
-    sq = u.sum(axis=1) / (tot * tot) - 2.0 * f1 + 1.0
-    ent = (np.log(tot) - u1) / math.log(B)
+    n = z.shape[0]
+    sq, ent, f1 = np.empty(n), np.empty(n), np.empty(n)
+    for a, b in _tiles(0, n, B):
+        u = _scores(z[a:b], sigma, B)
+        u -= u.max(axis=1)[:, None]
+        u1 = u[:, 0].copy()
+        # exp(-300) < 1e-130 is lost against the largest term exp(0) = 1 in
+        # every sum below, and 1 - f1 rounds to 1 either way; clipping only
+        # keeps exp and the squares out of the slow underflow and subnormal
+        # range at small sigma
+        np.maximum(u, -300.0, out=u)
+        np.exp(u, out=u)
+        tot = u.sum(axis=1)
+        f1[a:b] = u[:, 0] / tot
+        np.square(u, out=u)
+        sq[a:b] = u.sum(axis=1) / (tot * tot) - 2.0 * f1[a:b] + 1.0
+        ent[a:b] = (np.log(tot) - u1) / math.log(B)
     return {"mmse": sq, "entropy": ent, "f1": f1}
 
 
@@ -144,22 +169,40 @@ def denoise_section(z, sigma_eff: float, B: int) -> np.ndarray:
     return np.exp(u - lse)
 
 
-def stream_moments(mc: MCConfig, B: int, per_chunk, size: int) -> tuple:
-    """Means and standard errors of `size` per-sample statistics.
+@functools.cache
+def _executor(workers: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(workers, thread_name_prefix="scse-mc")
 
-    per_chunk(z) yields one per-sample array per statistic, always in the same
-    order, for each Gaussian block z of the (seed, n_samples) stream.  Each
-    statistic sums its chunks in stream order, so the result is independent of
-    how the samples are chunked.
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the threads
+    os.register_at_fork(after_in_child=_executor.cache_clear)
+
+
+def _moments(job, z) -> list:
+    """(sum, sum of squares) of each per-sample array job(z) yields, reduced
+    as soon as it is yielded, so a job's arrays never pile up."""
+    return [(float(v.sum()), float((v * v).sum())) for v in job(z)]
+
+
+def stream_moments(mc: MCConfig, B: int, jobs) -> tuple:
+    """Means and standard errors of per-sample statistics over the stream.
+
+    Each job maps a Gaussian block z of the (seed, n_samples) stream to an
+    iterable of per-sample arrays, always the same number in the same order;
+    the statistics are the jobs' arrays in job order.  The jobs of one chunk
+    run concurrently; each statistic sums its chunks in stream order, so the
+    result depends neither on the chunking nor on the worker count.  The
+    pool is made on first use, not at import.
     """
     n = mc.n_samples
-    sums = np.zeros(size)
-    sumsq = np.zeros(size)
+    mapper = map if _WORKERS == 1 else _executor(_WORKERS).map
+    sums = sumsq = 0.0
     for a, b in _chunks(n):
-        z = gaussian_block(mc.seed, B, a, b, mc.antithetic)
-        for i, v in enumerate(per_chunk(z)):
-            sums[i] += float(v.sum())
-            sumsq[i] += float((v * v).sum())
+        z = gaussian_block(mc.seed, B, a, b)
+        reduced = list(mapper(functools.partial(_moments, z=z), jobs))
+        del z  # release this block before the next one is drawn
+        s, s2 = np.array([pair for job in reduced for pair in job]).T
+        sums, sumsq = sums + s, sumsq + s2
     means = sums / n
     var = np.maximum(sumsq / n - means * means, 0.0) / max(n - 1, 1)
     return means, np.sqrt(var)
@@ -168,7 +211,7 @@ def stream_moments(mc: MCConfig, B: int, per_chunk, size: int) -> tuple:
 def _mc_mean(params: UnderlyingParams, sigma: float, mc: MCConfig, which: str,
              clamp: tuple) -> Estimate:
     means, stderrs = stream_moments(
-        mc, params.B, lambda z: [section_stats(z, sigma, params.B)[which]], 1)
+        mc, params.B, [lambda z: [section_stats(z, sigma, params.B)[which]]])
     return Estimate(value=float(min(max(means[0], clamp[0]), clamp[1])),
                     stderr=float(stderrs[0]), n=mc.n_samples)
 
@@ -264,18 +307,26 @@ def build_tables(params: UnderlyingParams, mc: MCConfig, n_points: int = 256) ->
     grid = np.geomspace(*default_sigma_span(params), n_points)
     keys = ("mmse", "entropy")
 
-    def per_chunk(z):
+    def node_range(z, lo, hi):
         # slot 4k+j holds node k's statistic keys[j]; slot 4k-2+j its
-        # difference from node k-1
-        prev = None
-        for sigma in grid:
-            st = section_stats(z, float(sigma), params.B)
+        # difference from node k-1, which a range starting past node 0
+        # recomputes for itself
+        def node(k):  # drops f1 at once: two nodes' arrays stay alive
+            st = section_stats(z, float(grid[k]), params.B)
+            return [st[key] for key in keys]
+        prev = node(lo - 1) if lo else None
+        for k in range(lo, hi):
+            cur = node(k)
             if prev is not None:
-                yield from (st[key] - prev[key] for key in keys)
-            yield from (st[key] for key in keys)
-            prev = st
+                yield from (c - p for c, p in zip(cur, prev))
+            yield from cur
+            prev = cur
 
-    means, stderrs = stream_moments(mc, params.B, per_chunk, 4 * n_points - 2)
+    # one contiguous range of nodes per worker
+    k = min(_WORKERS, n_points)
+    cuts = [n_points * i // k for i in range(k + 1)]
+    means, stderrs = stream_moments(mc, params.B, [
+        functools.partial(node_range, lo=lo, hi=hi) for lo, hi in zip(cuts[:-1], cuts[1:])])
     tables = []
     for j, (key, top) in enumerate(zip(keys, (1.0 - 1.0 / params.B, 1.0))):
         node_stderrs = stderrs[j::4]

@@ -11,6 +11,7 @@ derivative).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -209,19 +210,19 @@ def nishimori_report(params: UnderlyingParams, mc: MCConfig,
     sqrt(2 var L/n) + 7 r L/(3(n-1)) with range r = 5/4 and
     L = ln(4 m/delta) over the m grid points, so all points pass together with
     probability at least 1 - delta on any seed.  Unlike a z-test it holds when
-    d is nonzero only on rare samples.  The bound assumes independent samples
-    (antithetic=False).  measured is the worst |diff|/bound, bound is 1.
+    d is nonzero only on rare samples.  measured is the worst |diff|/bound,
+    bound is 1.
     """
     if E_grid is None:
         E_grid = np.linspace(0.0, 1.0, 16)
     sigs = [sigma_underlying(float(E), params) for E in E_grid]
 
-    def per_chunk(z):
-        for sig in sigs:
-            st = section_stats(z, sig, params.B)
-            yield st["mmse"] - (1.0 - st["f1"])
+    def point(z, sig):
+        st = section_stats(z, sig, params.B)
+        yield st["mmse"] - (1.0 - st["f1"])
 
-    means, stderrs = stream_moments(mc, params.B, per_chunk, len(sigs))
+    means, stderrs = stream_moments(
+        mc, params.B, [functools.partial(point, sig=sig) for sig in sigs])
     n = mc.n_samples
     L = math.log(4.0 * len(sigs) / NISHIMORI_DELTA)
     worst = 0.0
@@ -255,18 +256,18 @@ def i_mmse_report(params: UnderlyingParams, mc: MCConfig, sigma_grid=None,
         points.append((float(sig), {k: (gamma + x) ** -0.5 for k, x in
                                     (("p", h), ("m", -h), ("p2", h / 2), ("m2", -h / 2))}))
 
-    def per_chunk(z):
+    def point(z, sig, sigs):
         # three statistics per point: D = slope + c*mmse, and the slope at
         # steps h and h/2
-        for sig, sigs in points:
-            ent = {k: section_stats(z, s, params.B)["entropy"] for k, s in sigs.items()}
-            m = section_stats(z, sig, params.B)["mmse"]
-            slope_h = lb * (ent["p"] - ent["m"]) / (2.0 * h)
-            yield slope_h + coefficient * m
-            yield slope_h
-            yield lb * (ent["p2"] - ent["m2"]) / h
+        ent = {k: section_stats(z, s, params.B)["entropy"] for k, s in sigs.items()}
+        m = section_stats(z, sig, params.B)["mmse"]
+        slope_h = lb * (ent["p"] - ent["m"]) / (2.0 * h)
+        yield slope_h + coefficient * m
+        yield slope_h
+        yield lb * (ent["p2"] - ent["m2"]) / h
 
-    means, stderrs = stream_moments(mc, params.B, per_chunk, 3 * len(points))
+    means, stderrs = stream_moments(mc, params.B, [
+        functools.partial(point, sig=sig, sigs=sigs) for sig, sigs in points])
     details = []
     passed = True
     for i, (sig, _) in enumerate(points):

@@ -1,8 +1,39 @@
+import contextlib
+
 import pytest
 
-from scse import MCConfig, UnderlyingParams, build_tables
+from scse import MCConfig, UnderlyingParams, build_tables, denoiser
 
 SIGMA2 = 1.0 / 15.0  # snr 15 throughout the shared fixtures
+
+# A full 65536-row chunk plus a 4465-row tail, so both chunk shapes and a
+# partial last tile are exercised.
+MC_TWO_CHUNKS = MCConfig(seed=7, n_samples=70_001)
+
+
+def _set_layout(mp, workers, tile):
+    mp.setattr(denoiser, "_WORKERS", workers)
+    mp.setattr(denoiser, "_TILE", tile)
+
+
+@contextlib.contextmanager
+def serial_untiled():
+    """One worker and one tile per chunk: the loop structure with neither
+    threads nor tiles, the reference every layout must reproduce bit for bit."""
+    with pytest.MonkeyPatch.context() as mp:
+        _set_layout(mp, 1, 2 ** 40)
+        yield
+
+
+@pytest.fixture(params=[(1, 65536), (1, 80000), (2, 65536), (2, 80000), (3, 80000)],
+                ids=lambda p: f"workers{p[0]}-tile{p[1]}")
+def mc_layout(request, monkeypatch):
+    """Worker count and tile size (elements) of the Monte-Carlo loops.  At
+    B=16 the tiles are 4096 rows, which divide the chunk, and 5000 rows,
+    which do not (16384 and 20000 rows at B=4); 3 workers split 16 nodes
+    unevenly."""
+    _set_layout(monkeypatch, *request.param)
+    return request.param
 
 
 @pytest.fixture(scope="session")

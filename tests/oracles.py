@@ -5,20 +5,31 @@ with plain (non-log-domain) arithmetic and quadrature instead of Monte Carlo,
 so it shares no code path with the package under test.
 """
 
+import functools
 import math
 
 import numpy as np
 
 
+@functools.lru_cache(maxsize=None)
+def _hermgauss(n):
+    """Physicists' Gauss-Hermite rule, computed once per n (an eigensolve that
+    dense scans would otherwise repeat per point); read-only, as it is shared."""
+    x, w = np.polynomial.hermite.hermgauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_hermite_std(n):
     """Nodes/weights for E[h(z)] with z ~ N(0,1)."""
-    x, w = np.polynomial.hermite.hermgauss(n)
+    x, w = _hermgauss(n)
     return x * math.sqrt(2.0), w / math.sqrt(math.pi)
 
 
 def gauss_hermite_var2(n):
     """Nodes/weights for E[h(d)] with d ~ N(0,2)."""
-    x, w = np.polynomial.hermite.hermgauss(n)
+    x, w = _hermgauss(n)
     return x * 2.0, w / math.sqrt(math.pi)
 
 

@@ -230,7 +230,7 @@ def _mc_entropy_diff(p, sig_hi, sig_lo, mc):
     n = mc.n_samples
     acc = acc2 = 0.0
     for a, b in _chunks(n):
-        z = gaussian_block(mc.seed, p.B, a, b, mc.antithetic)
+        z = gaussian_block(mc.seed, p.B, a, b)
         d = (section_stats(z, sig_hi, p.B)["entropy"]
              - section_stats(z, sig_lo, p.B)["entropy"])
         acc += float(d.sum())

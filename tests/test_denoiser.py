@@ -1,15 +1,19 @@
 import math
+import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
 from scse import (MCConfig, MonotoneTable, UnderlyingParams, build_tables,
-                  capacity, default_n_samples, denoise_section, entropy_estimate,
-                  gaussian_block, isotonic_increasing, mmse_estimate,
-                  sigma_underlying)
+                  capacity, default_n_samples, denoise_section, denoiser,
+                  entropy_estimate, gaussian_block, isotonic_increasing,
+                  mmse_estimate, sigma_underlying)
 from scse.denoiser import _scores, default_sigma_span, section_stats
 from scse.ensemble import RATE_CAP, RATE_FLOOR
+
+from conftest import MC_TWO_CHUNKS, serial_untiled
 
 from oracles import (b2_entropy_quad, b2_mmse_quad, b2_posterior_weight_quad,
                      direct_softmax_denoiser, pav_brute_force)
@@ -46,25 +50,18 @@ def test_gaussian_block_chunking_invariance():
     assert not np.allclose(whole, other)
 
 
-def test_gaussian_block_antithetic_pairing():
-    z = gaussian_block(0, 3, 0, 10, antithetic=True)
-    np.testing.assert_array_equal(z[0::2], -z[1::2])
-    # odd offsets still line up with the same pairing
-    tail = gaussian_block(0, 3, 5, 10, antithetic=True)
-    np.testing.assert_array_equal(tail, z[5:10])
-
-
-def test_gaussian_block_column_major_same_values():
+def test_gaussian_block_column_major_same_values(monkeypatch):
     # the block is the inverse normal CDF of consecutive Philox words, laid
-    # out row by row as (sample, component) and stored column-major
+    # out row by row as (sample, component) and stored column-major, however
+    # many tiles it is drawn in
     words = np.random.Generator(np.random.Philox(key=3)).random(100 * 4)
     expected = ndtri(np.maximum(words.reshape(100, 4), 1e-300))
-    for start, stop in ((0, 100), (37, 100), (5, 6)):
-        z = gaussian_block(3, 4, start, stop)
-        assert z.flags.f_contiguous and z.shape == (stop - start, 4)
-        np.testing.assert_array_equal(z, expected[start:stop])
-    anti = gaussian_block(0, 3, 5, 10, antithetic=True)
-    assert anti.flags.f_contiguous and anti.shape == (5, 3)
+    for tile in (65536, 28):  # one tile, and tiles of 7 rows
+        monkeypatch.setattr(denoiser, "_TILE", tile)
+        for start, stop in ((0, 100), (37, 100), (5, 6)):
+            z = gaussian_block(3, 4, start, stop)
+            assert z.flags.f_contiguous and z.shape == (stop - start, 4)
+            np.testing.assert_array_equal(z, expected[start:stop])
 
 
 def _two_pass_stats(z, sigma, B):
@@ -191,14 +188,6 @@ def test_nishimori_identity_same_samples():
     assert b2_posterior_weight_quad(sigma) == pytest.approx(1 - B2_MMSE[sigma], abs=1e-12)
 
 
-def test_antithetic_variance_reduction():
-    p = UnderlyingParams(B=2, R=1.0, sigma2=0.1)
-    plain = mmse_estimate(1.0, p, MCConfig(seed=0, n_samples=40_000))
-    anti = mmse_estimate(1.0, p, MCConfig(seed=0, n_samples=40_000, antithetic=True))
-    assert abs(anti.value - B2_MMSE[1.0]) <= 4 * anti.stderr
-    assert anti.stderr < plain.stderr
-
-
 def test_isotonic_matches_brute_force():
     rng = np.random.default_rng(3)
     for n in (1, 2, 5, 12, 30):
@@ -304,9 +293,59 @@ def test_table_csv(tmp_path, tables_b2):
     assert sig == mmse_t.sigma_grid[0] and val == mmse_t.values[0] and err == mmse_t.stderrs[0]
 
 
+def _two_chunk_estimates():
+    tables = [build_tables(UnderlyingParams(B=B, R=1.5, sigma2=1 / 15), MC_TWO_CHUNKS,
+                           n_points=16) for B in (4, 16)]
+    est = mmse_estimate(0.8, UnderlyingParams(B=16, R=1.5, sigma2=1 / 15), MC_TWO_CHUNKS)
+    return tables, est
+
+
+@pytest.fixture(scope="module")
+def serial_untiled_estimates():
+    with serial_untiled():
+        return _two_chunk_estimates()
+
+
+def test_estimates_independent_of_workers_and_tiles(mc_layout, serial_untiled_estimates):
+    (tables, est), (ref_tables, ref_est) = _two_chunk_estimates(), serial_untiled_estimates
+    assert est == ref_est
+    for pair, ref_pair in zip(tables, ref_tables):
+        for got, ref in zip(pair, ref_pair):
+            for name in ("sigma_grid", "values", "stderrs", "diff_stderrs", "coarse"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_build_tables_chunk_memory(monkeypatch, workers):
+    # the 8 MiB Gaussian block plus, per worker, two nodes' statistics and one
+    # cache-sized tile of scratch
+    monkeypatch.setattr(denoiser, "_WORKERS", workers)
+    p, mc = UnderlyingParams(B=16, R=1.5, sigma2=1 / 15), MCConfig(seed=0, n_samples=65536)
+    build_tables(p, mc, n_points=16)  # starts the pool outside the trace
+    tracemalloc.start()
+    try:
+        build_tables(p, mc, n_points=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 def test_estimate_stderr_scales_with_n():
     p = UnderlyingParams(B=2, R=1.0, sigma2=0.1)
     small = mmse_estimate(1.0, p, MCConfig(seed=0, n_samples=4_000))
     large = mmse_estimate(1.0, p, MCConfig(seed=0, n_samples=64_000))
     ratio = small.stderr / large.stderr
     assert 2.5 <= ratio <= 6.5  # sqrt(16) = 4 up to sampling noise
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the platform cannot fork")
+def test_pool_restarts_in_forked_child(monkeypatch):
+    # a child forked after the pool started must not wait on the parent's
+    # threads, which it does not have
+    monkeypatch.setattr(denoiser, "_WORKERS", 2)
+    p, mc = UnderlyingParams(B=4, R=1.5, sigma2=1 / 15), MCConfig(seed=0, n_samples=1000)
+    expected = mmse_estimate(0.8, p, mc)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply_async(mmse_estimate, (0.8, p, mc)).get(timeout=60) == expected

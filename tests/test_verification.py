@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from scse import (CoupledParams, ErrorProfile, MCConfig, UnderlyingParams,
-                  build_coupling_matrix, build_tables, iterate_coupled,
+                  build_coupling_matrix, build_tables, denoiser, iterate_coupled,
                   iterate_underlying, ones_profile, rectangular_design,
                   saturate_profile, shift, triangular_design)
 from scse.verification import (LemmaReport, i_mmse_report, nishimori_report,
                                run_suite, shift_potential_scaling,
                                theorem1_experiment, verify_basin_exclusion,
                                verify_smoothness, verify_telescoping)
+
+from conftest import MC_TWO_CHUNKS, serial_untiled
 
 SIGMA2 = 1.0 / 15.0
 
@@ -189,3 +193,34 @@ def test_nishimori_catches_planted_sign_error(params_b4, monkeypatch):
     monkeypatch.setattr(verification, "section_stats", flipped)
     rep = nishimori_report(params_b4, MCConfig(seed=0, n_samples=20_000))
     assert not rep.passed and rep.measured > rep.bound
+
+
+B16 = UnderlyingParams(B=16, R=1.5, sigma2=SIGMA2)
+
+
+@pytest.fixture(scope="module")
+def serial_untiled_reports():
+    with serial_untiled():
+        return nishimori_report(B16, MC_TWO_CHUNKS), i_mmse_report(B16, MC_TWO_CHUNKS)
+
+
+def test_reports_independent_of_workers_and_tiles(mc_layout, serial_untiled_reports):
+    got = nishimori_report(B16, MC_TWO_CHUNKS), i_mmse_report(B16, MC_TWO_CHUNKS)
+    assert [r.to_dict() for r in got] == [r.to_dict() for r in serial_untiled_reports]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("report", [nishimori_report, i_mmse_report])
+def test_report_chunk_memory(monkeypatch, workers, report):
+    # the 8 MiB Gaussian block plus, per worker, one point's statistics and
+    # one cache-sized tile of scratch
+    monkeypatch.setattr(denoiser, "_WORKERS", workers)
+    mc = MCConfig(seed=0, n_samples=65536)
+    report(B16, mc)  # starts the pool outside the trace
+    tracemalloc.start()
+    try:
+        report(B16, mc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
