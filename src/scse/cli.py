@@ -4,9 +4,7 @@ Subcommands: tables, se, potential, thresholds, verify, sweep.  Options can
 come from a JSON config file (--config); explicit flags override file values.
 Every artifact embeds the resolved configuration, outputs are written
 atomically (temp file + rename), and identical configs produce byte-identical
-files.  A THREADS environment variable is accepted for compatibility and
-validated, but nothing reads it, so it sizes nothing and never changes
-results.  The Monte-Carlo stage (tables and the denoiser identities) runs its
+files.  The Monte-Carlo stage (tables and the denoiser identities) runs its
 jobs on a thread pool sized to the CPUs the process may use, and its results
 are bit-identical whatever that count is.  The rest is single-threaded: the
 coupled recursion applies its banded coupling matrix as a convolution, with no
@@ -296,9 +294,6 @@ def _resolve_config(args: argparse.Namespace,
         cfg.design_fn()
     except (ValueError, TypeError) as exc:
         parser.error(str(exc))
-    threads = os.environ.get("THREADS")
-    if threads is not None and not threads.isdigit():
-        parser.error("THREADS must be a nonnegative integer")
     return cfg
 
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .denoiser import MonotoneTable
 from .ensemble import CouplingMatrix, UnderlyingParams
@@ -82,17 +81,110 @@ def free_energy_gap(params: UnderlyingParams, tables, grid_size: int = 512,
         return potential_underlying(float(E), params, entropy_table)
 
     grid = np.linspace(Ebar, 1.0, grid_size)
-    vals = np.array([F(e) for e in grid])
+    U = np.array([potential_energy_underlying(float(e), params) for e in grid])
+    vals = U - entropy_table(np.sqrt(params.R * (params.sigma2 + grid)))
     k = int(np.argmin(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid_size - 1)]
-    best_E, best_F = grid[k], vals[k]
+    lo = float(grid[max(k - 1, 0)])
+    hi = float(grid[min(k + 1, grid_size - 1)])
+    best_E, best_F = float(grid[k]), float(vals[k])
     if hi > lo:
-        res = minimize_scalar(F, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-10})
-        if res.fun < best_F:
-            best_E, best_F = float(res.x), float(res.fun)
+        x, fx = _bounded_brent(F, lo, hi, xatol=1e-10)
+        if fx < best_F:
+            best_E, best_F = x, fx
     return GapReport(delta_F=best_F - F(E0), argmin_E=best_E, basin_sup=Ebar)
+
+
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+_BRENT_MAXFUN = 500
+
+
+def _bounded_brent(func, a: float, b: float, xatol: float) -> tuple:
+    """(x, func(x)) at a local minimum of func on [a, b], Brent's (1973) method.
+
+    A step-for-step port of scipy.optimize's _minimize_scalar_bounded
+    (scipy 1.17, BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc. and
+    2003-2024 SciPy Developers), which minimize_scalar(method="bounded")
+    runs: the same parabolic and golden-section steps, the same tol1/tol2
+    updates and the same 500-evaluation cap, so it visits the same points
+    and returns the same floats.  Only the options scse does not use (disp,
+    args, maxiter) and the result object are left out.
+    """
+    fulc = a + _GOLDEN_MEAN * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # parabolic fit through the three best points
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign_or_one(xm - xf)
+            else:
+                golden = True
+
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN_MEAN * e
+
+        x = xf + _sign_or_one(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= _BRENT_MAXFUN:
+            break
+
+    return xf, fx
+
+
+def _sign_or_one(v: float) -> float:
+    """np.sign(v) + (v == 0): the sign of v, with 1 at zero and NaN kept."""
+    if v == 0.0:
+        return 1.0
+    return v if v != v else math.copysign(1.0, v)
 
 
 def potential_coupled(profile: ErrorProfile, J: CouplingMatrix,

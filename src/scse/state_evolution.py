@@ -7,6 +7,12 @@ boundary columns is pinned to zero (the decoder knows those sections), and
 the row profile is the J-weighted average of the column MSEs.  With monotone
 tables every operator here is exactly monotone, componentwise, in floating
 point, which the degradation and convergence arguments lean on.
+
+Profiles are validated in two places.  ErrorProfile checks length and the
+[0, 1] range when it is built.  The coupled step (_coupled_step, shared by
+se_step_coupled and iterate_coupled) works on raw arrays and checks each new
+profile itself: pinned rows first, then the range, raising the same errors.
+So iterate_coupled builds an ErrorProfile only for on_step and its result.
 """
 
 from __future__ import annotations
@@ -170,8 +176,35 @@ def basin_boundary(params: UnderlyingParams, table: MonotoneTable,
 def _inverse_noise_moment(values: np.ndarray, J: CouplingMatrix,
                           params: UnderlyingParams) -> np.ndarray:
     """Vector of (1/Gamma) sum_r J[r][c] / (R (sigma2 + E_r)) over columns c."""
-    weights = 1.0 / (params.R * (params.sigma2 + values))
-    return J.rmatvec(weights) / J.Gamma
+    weights = params.sigma2 + values
+    weights *= params.R
+    np.divide(1.0, weights, out=weights)
+    moment = J.rmatvec(weights)
+    moment /= J.Gamma
+    return moment
+
+
+def _coupled_step(values: np.ndarray, Gamma: int, w: int, J: CouplingMatrix,
+                  params: UnderlyingParams, table: MonotoneTable) -> np.ndarray:
+    """The pinned profile update on raw arrays; se_step_coupled's body.
+
+    Returns a fresh array, checked as se_step_coupled's ErrorProfile would
+    check it (pinned rows first, then the [0, 1] range).  The in-place forms
+    run the same elementwise operations in the same order as the allocating
+    ones, so every bit matches.
+    """
+    sigma_cols = _inverse_noise_moment(values, J, params)
+    np.power(sigma_cols, -0.5, out=sigma_cols)
+    tilde = table(sigma_cols)
+    tilde[:4 * w] = 0.0
+    tilde[-4 * w:] = 0.0
+    nxt = J.matvec(tilde)
+    nxt /= Gamma
+    if nxt[:3 * w].any() or nxt[-3 * w:].any():
+        raise AssertionError("pinned rows came out nonzero; coupling matrix is malformed")
+    if not (nxt.min() >= 0.0 and nxt.max() <= 1.0):  # NaN fails both
+        raise ValueError("profile entries must lie in [0, 1]")
+    return nxt
 
 
 def se_step_coupled(profile: ErrorProfile, J: CouplingMatrix,
@@ -183,14 +216,7 @@ def se_step_coupled(profile: ErrorProfile, J: CouplingMatrix,
     from bandedness and are asserted, not enforced.
     """
     Gamma, w = profile.Gamma, profile.w
-    moment = _inverse_noise_moment(profile.values, J, params)
-    sigma_cols = moment ** -0.5
-    tilde = np.asarray(table(sigma_cols), dtype=float)
-    tilde[:4 * w] = 0.0
-    tilde[-4 * w:] = 0.0
-    nxt = J.matvec(tilde) / Gamma
-    if np.any(nxt[:3 * w] != 0.0) or np.any(nxt[-3 * w:] != 0.0):
-        raise AssertionError("pinned rows came out nonzero; coupling matrix is malformed")
+    nxt = _coupled_step(profile.values, Gamma, w, J, params, table)
     return ErrorProfile(nxt, Gamma, w)
 
 
@@ -201,27 +227,33 @@ def iterate_coupled(profile_init: ErrorProfile, J: CouplingMatrix,
                     on_step=None) -> FixedPointReport:
     """Profile recursion to sup-norm tolerance, tracking monotonicity.
 
+    Every entry keeps the direction of its first nonzero step; a step against
+    it clears the monotone flag, after which directions are no longer tracked.
     on_step(t, residual, profile), when given, is called after every step.
     """
-    prof = profile_init
-    direction = np.zeros(profile_init.Gamma)
+    Gamma, w = profile_init.Gamma, profile_init.w
+    values = profile_init.values
+    scratch = np.empty(Gamma)
+    step = np.empty(Gamma)
+    direction = np.zeros(Gamma)
     monotone = True
     residual = math.inf
     for t in range(1, max_iters + 1):
-        nxt = se_step_coupled(prof, J, params, table)
-        step = nxt.values - prof.values
-        moving = step != 0.0
-        fresh = moving & (direction == 0.0)
-        direction[fresh] = np.sign(step[fresh])
-        if np.any(np.sign(step[moving]) != direction[moving]):
-            monotone = False
-        residual = float(np.abs(step).max())
-        prof = nxt
+        nxt = _coupled_step(values, Gamma, w, J, params, table)
+        np.subtract(nxt, values, out=step)
+        if monotone:
+            np.multiply(step, direction, out=scratch)
+            if (scratch < 0.0).any():
+                monotone = False
+            else:
+                np.copyto(direction, np.sign(step), where=direction == 0.0)
+        residual = float(np.abs(step, out=scratch).max())
+        values = nxt
         if on_step is not None:
-            on_step(t, residual, prof)
+            on_step(t, residual, ErrorProfile(values, Gamma, w))
         if residual <= tol:
-            return FixedPointReport(prof, t, residual, True, monotone)
-    return FixedPointReport(prof, max_iters, residual, False, monotone)
+            return FixedPointReport(ErrorProfile(values, Gamma, w), t, residual, True, monotone)
+    return FixedPointReport(ErrorProfile(values, Gamma, w), max_iters, residual, False, monotone)
 
 
 def coupled_decode(J: CouplingMatrix, params: UnderlyingParams, table: MonotoneTable,

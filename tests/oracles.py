@@ -202,3 +202,82 @@ def grid_argmin(fn, lo, hi, n):
     ys = np.array([fn(x) for x in xs])
     k = int(np.argmin(ys))
     return xs[k], ys[k]
+
+
+# Reference state-evolution loops: the recursions as first written, with an
+# allocating array expression per operation, the profile range checked after
+# every step, and monotonicity tracked with boolean masks.  They read the
+# table's nodes through np.interp directly and use the coupling matrix only
+# through its matvec and rmatvec, so they share neither the table's call path
+# nor the package's coupled step.
+
+def _table_lookup(table, sigma):
+    out = np.interp(np.asarray(sigma, dtype=float), table.sigma_grid, table.values,
+                    left=table.lo_value, right=table.hi_value)
+    return float(out) if np.ndim(sigma) == 0 else out
+
+
+def reference_coupled_step(values, Gamma, w, J, params, table):
+    """One pinned coupled step; raises AssertionError on nonzero pinned rows,
+    then ValueError on entries outside [0, 1] (NaN included)."""
+    weights = 1.0 / (params.R * (params.sigma2 + values))
+    moment = J.rmatvec(weights) / J.Gamma
+    sigma_cols = moment ** -0.5
+    tilde = np.asarray(_table_lookup(table, sigma_cols), dtype=float)
+    tilde[:4 * w] = 0.0
+    tilde[-4 * w:] = 0.0
+    nxt = J.matvec(tilde) / Gamma
+    if np.any(nxt[:3 * w] != 0.0) or np.any(nxt[-3 * w:] != 0.0):
+        raise AssertionError("pinned rows came out nonzero; coupling matrix is malformed")
+    if np.any(nxt < 0) or np.any(nxt > 1) or not np.all(np.isfinite(nxt)):
+        raise ValueError("profile entries must lie in [0, 1]")
+    return nxt
+
+
+def reference_iterate_coupled(values, Gamma, w, J, params, table, tol, max_iters,
+                              on_step=None):
+    """(final values, iterations, residual, converged, monotone)."""
+    prof = np.asarray(values, dtype=float)
+    direction = np.zeros(Gamma)
+    monotone = True
+    residual = math.inf
+    for t in range(1, max_iters + 1):
+        nxt = reference_coupled_step(prof, Gamma, w, J, params, table)
+        step = nxt - prof
+        moving = step != 0.0
+        fresh = moving & (direction == 0.0)
+        direction[fresh] = np.sign(step[fresh])
+        if np.any(np.sign(step[moving]) != direction[moving]):
+            monotone = False
+        residual = float(np.abs(step).max())
+        prof = nxt
+        if on_step is not None:
+            on_step(t, residual, prof)
+        if residual <= tol:
+            return prof, t, residual, True, monotone
+    return prof, max_iters, residual, False, monotone
+
+
+def reference_iterate_underlying(E_init, params, table, tol, max_iters, on_step=None):
+    """(final E, iterations, residual, converged, monotone)."""
+    E = float(E_init)
+    direction = 0.0
+    monotone = True
+    residual = math.inf
+    for t in range(1, max_iters + 1):
+        if E < 0:
+            raise ValueError("MSE must be nonnegative")
+        E_next = _table_lookup(table, math.sqrt(params.R * (params.sigma2 + E)))
+        step = E_next - E
+        if step != 0.0:
+            if direction == 0.0:
+                direction = math.copysign(1.0, step)
+            elif math.copysign(1.0, step) != direction:
+                monotone = False
+        residual = abs(step)
+        E = E_next
+        if on_step is not None:
+            on_step(t, residual, E)
+        if residual <= tol:
+            return E, t, residual, True, monotone
+    return E, max_iters, residual, False, monotone

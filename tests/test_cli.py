@@ -188,13 +188,46 @@ def test_config_file_unknown_key(tmp_path):
     assert exc.value.code == 2
 
 
-def test_threads_env_validated(tmp_path, monkeypatch):
-    monkeypatch.setenv("THREADS", "quick")
-    with pytest.raises(SystemExit) as exc:
-        _run(tmp_path, "tables", "--B", "2", *FAST)
-    assert exc.value.code == 2
-    monkeypatch.setenv("THREADS", "2")
-    assert _run(tmp_path, "tables", "--B", "2", *FAST) == 0
+# `scse thresholds --B 4 --gamma 64 --w 3 --samples 65536 --n-points 16
+# --seed 1`, recorded before free_energy_gap's refinement moved from
+# scipy.optimize.minimize_scalar to the in-package port of the same routine.
+FROZEN_THRESHOLDS = {
+    "underlying": ("1.568359375", ["1.56640625", "1.5703125"], 16),
+    "potential": ("1.642578125", ["1.640625", "1.64453125"], 15),
+    "coupled": ("1.626953125", ["1.625", "1.62890625"], 15),
+}
+# (R, delta_F, basin_sup, E0) of every potential-threshold evaluation
+FROZEN_POTENTIAL_HISTORY = [
+    ("1.0", "inf", "1.0", "0.0011140304595173747"),
+    ("1.5", "inf", "1.0", "0.015032238417111338"),
+    ("1.625", "0.008047568178447984", "0.06788636552485057", "0.024708304283311604"),
+    ("1.640625", "0.0007880069368326748", "0.06136341138660663", "0.025913795322936386"),
+    ("1.64453125", "-0.0009994312674159733", "0.05990222035310146", "0.026215046217923928"),
+    ("1.6484375", "-0.0027759974723102765", "0.05849869838275446", "0.026516249358827657"),
+    ("1.65625", "-0.006296729327206929", "0.055842184766116736", "0.02711851430750319"),
+    ("1.6875", "-0.019955583271072497", "0.04679450455201681", "0.029525757553527904"),
+    ("1.71875", "-0.032956549898715215", "0.03952054100305964", "0.031930261081991054"),
+    ("1.734375", "-0.03921882526913012", "0.036355594386476286", "0.0331315500298243"),
+    ("1.7421875", "-0.04229187752235508", "0.03486956224199741", "0.033731964309124264"),
+    ("1.74609375", "-0.04381406326551551", "0.03414772810601589", "0.034032115151353085"),
+    ("1.748046875", "inf", "1.0", "0.3454033638005074"),
+    ("1.75", "inf", "1.0", "0.3459595612057933"),
+    ("2.0", "inf", "1.0", "0.4170588283377324"),
+]
+
+
+def test_thresholds_frozen_artifacts(tmp_path):
+    assert _run(tmp_path, "thresholds", "--B", "4", "--gamma", "64", "--w", "3",
+                "--samples", "65536", "--n-points", "16", "--seed", "1") == 0
+    for name, (value, bracket, evaluations) in FROZEN_THRESHOLDS.items():
+        rep = json.loads((tmp_path / f"threshold_{name}.json").read_text())
+        assert (repr(rep["value"]), [repr(b) for b in rep["bracket"]],
+                rep["evaluations"]) == (value, bracket, evaluations), name
+    history = json.loads((tmp_path / "threshold_potential.json").read_text())["metadata"]["history"]
+    assert [(repr(h["R"]), repr(h["delta_F"]), repr(h["basin_sup"]), repr(h["E0"]))
+            for h in history] == FROZEN_POTENTIAL_HISTORY
+    _, _, rows = _read_csv(tmp_path / "thresholds.csv")
+    assert rows == ["4,15.0,64,3,1.568359375,1.642578125,1.626953125,2.0"]
 
 
 @pytest.fixture

@@ -255,6 +255,21 @@ def test_table_lookup_interpolates(tables_b2):
     assert mmse_t(float(g[40])) == pytest.approx(mmse_t.values[40])
 
 
+def test_table_scalar_lookup_matches_array(tables_b2):
+    # the plain-float fast path and the array path give the same bits
+    mmse_t, _ = tables_b2
+    g = mmse_t.sigma_grid
+    rng = np.random.default_rng(3)
+    points = np.concatenate([rng.uniform(0.5 * g[0], 2.0 * g[-1], 200), g,
+                             [0.0, np.inf, -np.inf, np.nan]])
+    want = mmse_t(points)
+    for x, v in zip(points, want):
+        for arg in (float(x), np.float64(x), np.array(x)):
+            got = mmse_t(arg)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == v.tobytes()
+
+
 def test_table_matches_quadrature(tables_b2):
     mmse_t, ent_t = tables_b2
     for sigma in (0.5, 1.0, 2.0):

@@ -1,14 +1,20 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
+import scse
 from scse import (CoupledParams, ErrorProfile, MCConfig, UnderlyingParams,
                   build_coupling_matrix, build_tables, free_energy_gap,
                   iterate_underlying, potential_coupled, potential_curve,
                   potential_energy_underlying, potential_large_B,
                   potential_underlying, rectangular_design,
                   sigma_underlying, stationarity_residual)
+from scse import potential
 
 from oracles import (b2_entropy_quad, fd_slope, grid_argmin,
                      large_b_potential_direct)
@@ -140,3 +146,85 @@ def test_stationarity_residual_contrast(params_b4, tables_b4):
     # one-sided fallback at the boundary stays finite
     assert math.isfinite(stationarity_residual(0.0, params_b4, ent_t, h=5e-3))
     assert math.isfinite(stationarity_residual(1.0, params_b4, ent_t, h=5e-3))
+
+
+# _bounded_brent against the scipy routine it ports.  Both runs record the
+# points they evaluate; the sequences, x and f(x) must agree bit for bit.
+
+def _recorded(func):
+    seen = []
+
+    def f(x):
+        seen.append(float(x).hex())
+        return func(x)
+    return f, seen
+
+
+def _assert_matches_scipy(func, a, b, xatol):
+    f, want_seen = _recorded(func)
+    res = minimize_scalar(f, bounds=(a, b), method="bounded", options={"xatol": xatol})
+    g, got_seen = _recorded(func)
+    x, fx = potential._bounded_brent(g, a, b, xatol)
+    assert got_seen == want_seen
+    assert float(x).hex() == float(res.x).hex()
+    assert float(fx).hex() == float(res.fun).hex()
+    return got_seen
+
+
+SYNTHETIC = {
+    "quadratic": (lambda x: (x - 0.3) ** 2, 0.0, 1.0),
+    "flat": (lambda x: 1.0, 0.0, 1.0),
+    "min_at_lower_bound": (lambda x: x * x, 0.2, 0.9),
+    "min_at_upper_bound": (lambda x: -math.exp(x), 0.2, 0.9),
+    "kink": (lambda x: abs(x - 0.7) + 0.1 * math.sin(9.0 * x), 0.0, 1.0),
+    "two_wells": (lambda x: math.cos(3.0 * x) + 0.2 * x, -2.0, 3.0),
+}
+
+
+@pytest.mark.parametrize("xatol", [1e-10, 1e-5])
+@pytest.mark.parametrize("name", sorted(SYNTHETIC))
+def test_bounded_brent_matches_scipy(name, xatol):
+    func, a, b = SYNTHETIC[name]
+    seen = _assert_matches_scipy(func, a, b, xatol)
+    assert len(seen) > 3
+
+
+def test_bounded_brent_evaluation_cap():
+    # a negative xatol never satisfies the stopping rule, so only the cap ends it
+    seen = _assert_matches_scipy(lambda x: (x - 0.3) ** 2, 0.0, 1.0, -1.0)
+    assert len(seen) == 500
+
+
+@pytest.fixture(scope="module")
+def tables_b16(mc_small):
+    return build_tables(UnderlyingParams(B=16, R=1.6, sigma2=SIGMA2), mc_small, n_points=96)
+
+
+@pytest.mark.parametrize("xatol", [1e-10, 1e-5])
+@pytest.mark.parametrize("B,R", [(4, 1.58), (4, 1.62), (4, 1.7), (16, 1.6), (16, 1.8)])
+def test_bounded_brent_matches_scipy_on_gap(monkeypatch, tables_b4, tables_b16, B, R, xatol):
+    """The real F and bounds of free_energy_gap, at rates in the bistable window."""
+    calls = []
+    real = potential._bounded_brent
+
+    def capture(func, a, b, xatol):
+        calls.append((func, a, b))
+        return real(func, a, b, xatol)
+
+    monkeypatch.setattr(potential, "_bounded_brent", capture)
+    p = UnderlyingParams(B=B, R=R, sigma2=SIGMA2)
+    gap = free_energy_gap(p, tables_b4 if B == 4 else tables_b16)
+    assert math.isfinite(gap.delta_F) and len(calls) == 1
+    func, a, b = calls[0]
+    _assert_matches_scipy(func, a, b, xatol)
+
+
+def test_import_does_not_load_scipy_optimize():
+    # a fresh interpreter: this test session has imported scipy.optimize itself
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scse.__file__)))
+    code = ("import sys, scse, scse.cli\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('scipy.optimize'))\n"
+            "assert not loaded, loaded\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

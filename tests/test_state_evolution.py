@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,14 +7,17 @@ import pytest
 from scse import (CoupledParams, DEGRADED_EQUAL, ErrorProfile,
                   INCOMPARABLE, REVERSED, STRICTLY_DEGRADED,
                   UnderlyingParams, basin_boundary, build_coupling_matrix,
+                  make_design,
                   fixed_point_tolerance, is_degraded, iterate_coupled,
                   iterate_underlying, max_profile_increment, ones_profile,
                   pinned_columns, pinned_rows, rectangular_design,
                   saturate_profile, se_step_coupled, se_step_underlying,
                   shift, sigma_underlying, zeros_profile)
-from scse.state_evolution import _inverse_noise_moment
+from scse.state_evolution import _coupled_step, _inverse_noise_moment
 
-from oracles import b2_se_fixed_points, direct_sigma_coupled, saturation_case_24
+from oracles import (b2_se_fixed_points, direct_sigma_coupled,
+                     reference_coupled_step, reference_iterate_coupled,
+                     reference_iterate_underlying, saturation_case_24)
 
 SIGMA2 = 1.0 / 15.0
 
@@ -206,3 +210,126 @@ def test_shift_and_increment():
     np.testing.assert_allclose(out, [0.05, 0.1, 0.3, 0.7])
     assert max_profile_increment(v) == pytest.approx(0.4)
     assert max_profile_increment([0.5]) == 0.0
+
+
+# Loop equivalence: the package's recursions against the reference loops of
+# tests/oracles.py, bit for bit in every reported field and every on_step call.
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _planted_nonmonotone(table):
+    """The table mirrored, hi_value - mmse: it falls as the noise grows, so
+    the recursion overshoots and its steps change sign."""
+    return dataclasses.replace(table, values=table.hi_value - table.values,
+                               lo_value=table.hi_value - table.lo_value, hi_value=0.0)
+
+
+def _assert_same_coupled(table, p, Gamma, w, J, start, tol, max_iters):
+    got_trace, ref_trace = [], []
+    run = iterate_coupled(ErrorProfile(start, Gamma, w), J, p, table, tol, max_iters,
+                          on_step=lambda t, res, prof: got_trace.append((t, res, prof)))
+    ref = reference_iterate_coupled(start, Gamma, w, J, p, table, tol, max_iters,
+                                    on_step=lambda t, res, v: ref_trace.append((t, res, v)))
+    final, iterations, residual, converged, monotone = ref
+    assert _bits(run.final.values) == _bits(final)
+    assert (run.iterations, run.converged, run.monotone) == (iterations, converged, monotone)
+    assert _bits(run.residual) == _bits(residual)
+    # profiles handed to on_step are compared after the run, so a buffer the
+    # loop reused would show up here
+    assert len(got_trace) == len(ref_trace) == iterations
+    for (t, res, prof), (t_ref, res_ref, v_ref) in zip(got_trace, ref_trace):
+        assert t == t_ref and _bits(res) == _bits(res_ref)
+        assert _bits(prof.values) == _bits(v_ref)
+    return run
+
+
+LOOP_SIZES = [(64, 3), (1024, 16), (1024, 32)]
+DESIGNS = ["rectangular", "triangular", "asymmetric-exponential"]
+
+
+@pytest.mark.parametrize("Gamma,w", LOOP_SIZES, ids=lambda v: str(v))
+@pytest.mark.parametrize("kind", DESIGNS)
+@pytest.mark.parametrize("R,max_iters,converged", [(1.6, 5000, True), (1.62, 40, False)],
+                         ids=["converged", "capped"])
+def test_iterate_coupled_matches_reference_loop(params_b4, tables_b4, kind, Gamma, w,
+                                                R, max_iters, converged):
+    p = params_b4.with_rate(R)
+    J = build_coupling_matrix(CoupledParams(p, Gamma, w, make_design(kind)))
+    run = _assert_same_coupled(tables_b4[0], p, Gamma, w, J, ones_profile(Gamma, w).values,
+                               1e-8, max_iters)
+    assert run.converged is converged and run.monotone
+
+
+@pytest.mark.parametrize("Gamma,w", LOOP_SIZES, ids=lambda v: str(v))
+def test_iterate_coupled_nonmonotone_matches_reference_loop(params_b4, tables_b4, Gamma, w):
+    J = build_coupling_matrix(CoupledParams(params_b4, Gamma, w, rectangular_design()))
+    start = np.full(Gamma, 0.5)
+    start[pinned_rows(Gamma, w)] = 0.0
+    run = _assert_same_coupled(_planted_nonmonotone(tables_b4[0]), params_b4, Gamma, w, J,
+                               start, 1e-8, 30)
+    assert not run.monotone
+
+
+def test_coupled_step_errors_match_reference(params_b4, tables_b4):
+    Gamma, w = 64, 3
+    prof = ones_profile(Gamma, w)
+    too_wide = build_coupling_matrix(CoupledParams(params_b4, Gamma, w + 1, rectangular_design()))
+    good = build_coupling_matrix(CoupledParams(params_b4, Gamma, w, rectangular_design()))
+    mmse_t = tables_b4[0]
+    above_one = dataclasses.replace(mmse_t, values=mmse_t.values + 1.0,
+                                    lo_value=mmse_t.lo_value + 1.0,
+                                    hi_value=mmse_t.hi_value + 1.0)
+    cases = [(too_wide, mmse_t, AssertionError),
+             (good, above_one, ValueError),
+             (too_wide, above_one, AssertionError)]  # pinned rows are checked first
+    for J, table, err in cases:
+        with pytest.raises(err) as ref:
+            reference_coupled_step(prof.values, Gamma, w, J, params_b4, table)
+        # the step itself raises, not a later ErrorProfile
+        with pytest.raises(err) as got:
+            _coupled_step(prof.values, Gamma, w, J, params_b4, table)
+        assert str(got.value) == str(ref.value)
+        with pytest.raises(err) as got:
+            se_step_coupled(prof, J, params_b4, table)
+        assert str(got.value) == str(ref.value)
+        with pytest.raises(err) as got:
+            iterate_coupled(prof, J, params_b4, table)
+        assert str(got.value) == str(ref.value)
+
+
+def test_coupled_step_rejects_nan(params_b4, tables_b4):
+    Gamma, w = 64, 3
+    J = build_coupling_matrix(CoupledParams(params_b4, Gamma, w, rectangular_design()))
+    v = tables_b4[0].values.copy()
+    v[len(v) // 2:] = np.nan
+    nan_table = dataclasses.replace(tables_b4[0], values=v, hi_value=math.nan)
+    start = ones_profile(Gamma, w).values
+    for step in (lambda: reference_coupled_step(start, Gamma, w, J, params_b4, nan_table),
+                 lambda: _coupled_step(start, Gamma, w, J, params_b4, nan_table)):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            step()
+
+
+@pytest.mark.parametrize("E_init", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("R,max_iters,planted", [(1.2, 10_000, False), (1.62, 10_000, False),
+                                                 (1.62, 7, False), (1.6, 50, True)],
+                         ids=["monostable", "bistable", "capped", "nonmonotone"])
+def test_iterate_underlying_matches_reference_loop(params_b4, tables_b4, E_init, R,
+                                                   max_iters, planted):
+    p = params_b4.with_rate(R)
+    table = _planted_nonmonotone(tables_b4[0]) if planted else tables_b4[0]
+    got_trace, ref_trace = [], []
+    run = iterate_underlying(E_init, p, table, 1e-8, max_iters,
+                             on_step=lambda *a: got_trace.append(a))
+    ref = reference_iterate_underlying(E_init, p, table, 1e-8, max_iters,
+                                       on_step=lambda *a: ref_trace.append(a))
+    assert _bits(run.final) == _bits(ref[0]) and _bits(run.residual) == _bits(ref[2])
+    assert (run.iterations, run.converged, run.monotone) == (ref[1], ref[3], ref[4])
+    assert [(t, _bits(r), _bits(E)) for t, r, E in got_trace] == \
+        [(t, _bits(r), _bits(E)) for t, r, E in ref_trace]
+    if planted:
+        assert not run.monotone
+    if max_iters == 7:
+        assert not run.converged and run.iterations == 7
