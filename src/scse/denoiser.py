@@ -270,14 +270,8 @@ class MonotoneTable:
         return bool(self.coarse.any())
 
     def __call__(self, sigma):
-        if isinstance(sigma, float):  # the scalar recursions' hot path
-            return float(np.interp(sigma, self.sigma_grid, self.values,
-                                   left=self.lo_value, right=self.hi_value))
-        x = np.asarray(sigma, dtype=float)
-        out = np.interp(x, self.sigma_grid, self.values, left=self.lo_value, right=self.hi_value)
-        if np.ndim(sigma) == 0:
-            return float(out)
-        return out
+        out = np.interp(sigma, self.sigma_grid, self.values, left=self.lo_value, right=self.hi_value)
+        return float(out) if np.ndim(out) == 0 else out
 
     def stderr_at(self, sigma) -> float:
         return float(np.interp(sigma, self.sigma_grid, self.stderrs))

@@ -256,7 +256,7 @@ def test_table_lookup_interpolates(tables_b2):
 
 
 def test_table_scalar_lookup_matches_array(tables_b2):
-    # the plain-float fast path and the array path give the same bits
+    # scalar lookups (float, np.float64, 0-d array) give the array path's bits
     mmse_t, _ = tables_b2
     g = mmse_t.sigma_grid
     rng = np.random.default_rng(3)
