@@ -252,14 +252,13 @@ class MonotoneTable:
 
     values are the isotonically projected node means; queries interpolate
     linearly between nodes and clamp to the analytic limits outside the grid.
-    diff_stderrs[k] is the common-random-number standard error of
-    values[k+1]-values[k], the right noise scale for finite differences.
+    stderrs[k] is the standard error of node k's mean; build_tables estimates
+    every node from the same samples, one stream_moments job per node.
     """
 
     sigma_grid: np.ndarray
     values: np.ndarray
     stderrs: np.ndarray
-    diff_stderrs: np.ndarray
     lo_value: float
     hi_value: float
     coarse: np.ndarray
@@ -295,44 +294,31 @@ def default_sigma_span(params: UnderlyingParams) -> tuple:
 def build_tables(params: UnderlyingParams, mc: MCConfig, n_points: int = 256) -> tuple:
     """Build the mmse and entropy tables in one pass over the sample stream.
 
-    Common random numbers: every node sees the same z rows, so adjacent-node
-    differences are far less noisy than independent estimates, and downstream
-    bisections in R or E see smooth curves.  The tables ignore params.R.
+    stream_moments gets one job per grid node, so each node's mmse and
+    entropy are statistics 2k and 2k+1.  Common random numbers: every node
+    sees the same z rows, so adjacent-node differences are far less noisy
+    than independent estimates, and downstream bisections in R or E see
+    smooth curves.  The tables ignore params.R.
     """
     if n_points < 16:
         raise ValueError("n_points must be at least 16")
     grid = np.geomspace(*default_sigma_span(params), n_points)
     keys = ("mmse", "entropy")
 
-    def node_range(z, lo, hi):
-        # slot 4k+j holds node k's statistic keys[j]; slot 4k-2+j its
-        # difference from node k-1, which a range starting past node 0
-        # recomputes for itself
-        def node(k):  # drops f1 at once: two nodes' arrays stay alive
-            st = section_stats(z, float(grid[k]), params.B)
-            return [st[key] for key in keys]
-        prev = node(lo - 1) if lo else None
-        for k in range(lo, hi):
-            cur = node(k)
-            if prev is not None:
-                yield from (c - p for c, p in zip(cur, prev))
-            yield from cur
-            prev = cur
+    def node(z, sigma):
+        st = section_stats(z, sigma, params.B)
+        return [st[key] for key in keys]
 
-    # one contiguous range of nodes per worker
-    k = min(_WORKERS, n_points)
-    cuts = [n_points * i // k for i in range(k + 1)]
     means, stderrs = stream_moments(mc, params.B, [
-        functools.partial(node_range, lo=lo, hi=hi) for lo, hi in zip(cuts[:-1], cuts[1:])])
+        functools.partial(node, sigma=float(s)) for s in grid])
     tables = []
     for j, (key, top) in enumerate(zip(keys, (1.0 - 1.0 / params.B, 1.0))):
-        node_stderrs = stderrs[j::4]
-        values = np.clip(isotonic_increasing(means[j::4]), 0.0, top)
+        node_stderrs = stderrs[j::2]
+        values = np.clip(isotonic_increasing(means[j::2]), 0.0, top)
         gaps = np.abs(np.diff(values))
         coarse = gaps > 10.0 * np.maximum(node_stderrs[:-1], node_stderrs[1:])
         meta = {"B": params.B, "sigma2": params.sigma2,
                 "seed": mc.seed, "n_samples": mc.n_samples, "kind": key}
         tables.append(MonotoneTable(sigma_grid=grid, values=values, stderrs=node_stderrs,
-                                    diff_stderrs=stderrs[2 + j::4], lo_value=0.0,
-                                    hi_value=top, coarse=coarse, meta=meta))
+                                    lo_value=0.0, hi_value=top, coarse=coarse, meta=meta))
     return tables[0], tables[1]

@@ -38,6 +38,7 @@ class GapReport:
     delta_F: float            # +inf when the floor attracts everything
     argmin_E: float | None
     basin_sup: float
+    E0: float                 # the floor, SE's fixed point from E = 0
 
 
 def potential_energy_underlying(E: float, params: UnderlyingParams) -> float:
@@ -75,7 +76,7 @@ def free_energy_gap(params: UnderlyingParams, tables, grid_size: int = 512,
     E0 = iterate_underlying(0.0, params, mmse_table, tol, max_iters).final
     Ebar = basin_boundary(params, mmse_table, tol, max_iters=max_iters)
     if Ebar >= 1.0:
-        return GapReport(delta_F=math.inf, argmin_E=None, basin_sup=1.0)
+        return GapReport(delta_F=math.inf, argmin_E=None, basin_sup=1.0, E0=E0)
 
     def F(E):
         return potential_underlying(float(E), params, entropy_table)
@@ -91,7 +92,7 @@ def free_energy_gap(params: UnderlyingParams, tables, grid_size: int = 512,
         x, fx = _bounded_brent(F, lo, hi, xatol=1e-10)
         if fx < best_F:
             best_E, best_F = x, fx
-    return GapReport(delta_F=best_F - F(E0), argmin_E=best_E, basin_sup=Ebar)
+    return GapReport(delta_F=best_F - F(E0), argmin_E=best_E, basin_sup=Ebar, E0=E0)
 
 
 _SQRT_EPS = math.sqrt(2.2e-16)

@@ -230,8 +230,7 @@ def potential_threshold(params: UnderlyingParams, tables,
     def ev(R: float) -> _Eval:
         p = params.with_rate(R)
         gap = free_energy_gap(p, tables, tol=tol, max_iters=max_iters)
-        E0 = iterate_underlying(0.0, p, tables[0], tol, max_iters).final
-        return _Eval(gap.delta_F > 0.0, E0,
+        return _Eval(gap.delta_F > 0.0, gap.E0,
                      {"delta_F": gap.delta_F, "basin_sup": gap.basin_sup})
 
     return _solve_report("potential", ev, params, tables, tol_R, {})

@@ -30,8 +30,8 @@ def serial_untiled():
 def mc_layout(request, monkeypatch):
     """Worker count and tile size (elements) of the Monte-Carlo loops.  At
     B=16 the tiles are 4096 rows, which divide the chunk, and 5000 rows,
-    which do not (16384 and 20000 rows at B=4); 3 workers split 16 nodes
-    unevenly."""
+    which do not (16384 and 20000 rows at B=4); 3 workers do not divide a
+    table's 16 node jobs."""
     _set_layout(monkeypatch, *request.param)
     return request.param
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import multiprocessing
 import tracemalloc
@@ -10,7 +11,7 @@ from scse import (MCConfig, MonotoneTable, UnderlyingParams, build_tables,
                   capacity, default_n_samples, denoise_section, denoiser,
                   entropy_estimate, gaussian_block, isotonic_increasing,
                   mmse_estimate, sigma_underlying)
-from scse.denoiser import _scores, default_sigma_span, section_stats
+from scse.denoiser import _scores, default_sigma_span, section_stats, stream_moments
 from scse.ensemble import RATE_CAP, RATE_FLOOR
 
 from conftest import MC_TWO_CHUNKS, serial_untiled
@@ -225,7 +226,7 @@ def test_tables_do_not_depend_on_rate(mc_small):
     low, high = (build_tables(UnderlyingParams(B=4, R=R, sigma2=1 / 15), mc_small, n_points=32)
                  for R in (0.05, 7.5))
     for a, b in zip(low, high):
-        for name in ("sigma_grid", "values", "stderrs", "diff_stderrs", "coarse"):
+        for name in ("sigma_grid", "values", "stderrs", "coarse"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
         assert a.meta == b.meta and "R" not in a.meta
 
@@ -237,7 +238,6 @@ def test_build_tables_basic(params_b2, tables_b2):
         assert (np.diff(t.values) >= 0).all()
         assert t.values[0] >= 0.0 and t.values[-1] <= hi
         assert t.sigma_grid.shape == t.values.shape == t.stderrs.shape
-        assert t.diff_stderrs.shape == (t.sigma_grid.size - 1,)
         # clamping to the analytic limits outside the grid
         assert t(1e-9) == 0.0
         assert t(1e9) == hi
@@ -286,13 +286,20 @@ def test_tables_deterministic(params_b2, mc_small, tables_b2):
     np.testing.assert_array_equal(again[1].stderrs, tables_b2[1].stderrs)
 
 
-def test_common_random_numbers_smooth_differences(tables_b2):
+def test_common_random_numbers_smooth_differences(params_b2, mc_small, tables_b2):
     # CRN makes adjacent-node differences much less noisy than independent
     # estimates would be; the transition region shows it most clearly.
     mmse_t, _ = tables_b2
-    k = int(np.argmin(np.abs(mmse_t.sigma_grid - 1.0)))
+    g = mmse_t.sigma_grid
+    k = int(np.argmin(np.abs(g - 1.0)))
+
+    def difference(z):
+        lo, hi = (section_stats(z, float(s), params_b2.B)["mmse"] for s in g[k:k + 2])
+        return [hi - lo]
+
+    _, (diff_stderr,) = stream_moments(mc_small, params_b2.B, [difference])
     independent = math.hypot(mmse_t.stderrs[k], mmse_t.stderrs[k + 1])
-    assert mmse_t.diff_stderrs[k] < 0.5 * independent
+    assert diff_stderr < 0.5 * independent
 
 
 def test_table_csv(tmp_path, tables_b2):
@@ -326,13 +333,50 @@ def test_estimates_independent_of_workers_and_tiles(mc_layout, serial_untiled_es
     assert est == ref_est
     for pair, ref_pair in zip(tables, ref_tables):
         for got, ref in zip(pair, ref_pair):
-            for name in ("sigma_grid", "values", "stderrs", "diff_stderrs", "coarse"):
+            for name in ("sigma_grid", "values", "stderrs", "coarse"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+
+
+def test_build_tables_one_kernel_call_per_node(monkeypatch):
+    # each chunk's jobs evaluate every grid node once, whatever the workers
+    calls = []
+
+    def counting(z, sigma, B):
+        calls.append(sigma)
+        return section_stats(z, sigma, B)
+
+    monkeypatch.setattr(denoiser, "_WORKERS", 2)
+    monkeypatch.setattr(denoiser, "section_stats", counting)
+    mmse_t, _ = build_tables(UnderlyingParams(B=4, R=1.5, sigma2=1 / 15), MC_TWO_CHUNKS,
+                             n_points=16)
+    assert sorted(calls) == sorted(2 * list(mmse_t.sigma_grid))
+
+
+# sha256 of values, stderrs and coarse (in that order) of each table, seed 1
+FROZEN_TABLE_BITS = {
+    (4, 65536): ("716f2e6ee7c34492cc15718c7860c6cc58b4640849a7868f838a93457e9a6f6f",
+                 "54d1ebb372812a6a7e292cda1ab385e77d328f39012648c0687dab6f363d92c3"),
+    (16, 70001): ("96c306df6d36f537c0b6beb1a75b1b45af735749c6e1ee4b679b8fe4ea5dbd60",
+                  "b1a58f7aa9fd1bac6f1686b210e2aed53790d846b5d6be7fa0fb7fc8e7ace332"),
+}
+
+
+@pytest.mark.parametrize("B,n_samples", sorted(FROZEN_TABLE_BITS))
+def test_table_bits_frozen(B, n_samples):
+    tables = build_tables(UnderlyingParams(B=B, R=1.5, sigma2=1 / 15),
+                          MCConfig(seed=1, n_samples=n_samples), n_points=16)
+    digests = []
+    for t in tables:
+        h = hashlib.sha256()
+        for a in (t.values, t.stderrs, t.coarse):
+            h.update(a.tobytes())
+        digests.append(h.hexdigest())
+    assert tuple(digests) == FROZEN_TABLE_BITS[B, n_samples]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_build_tables_chunk_memory(monkeypatch, workers):
-    # the 8 MiB Gaussian block plus, per worker, two nodes' statistics and one
+    # the 8 MiB Gaussian block plus, per worker, one node's statistics and one
     # cache-sized tile of scratch
     monkeypatch.setattr(denoiser, "_WORKERS", workers)
     p, mc = UnderlyingParams(B=16, R=1.5, sigma2=1 / 15), MCConfig(seed=0, n_samples=65536)
@@ -343,7 +387,7 @@ def test_build_tables_chunk_memory(monkeypatch, workers):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+    assert peak < 14.5 * 2 ** 20
 
 
 def test_estimate_stderr_scales_with_n():

@@ -59,6 +59,7 @@ def test_gap_infinite_when_basin_is_everything(params_b2, tables_b2):
     assert gap.delta_F == math.inf
     assert gap.basin_sup == 1.0
     assert gap.argmin_E is None
+    assert gap.E0 == iterate_underlying(0.0, params_b2, tables_b2[0]).final
 
 
 def test_gap_positive_inside_window(params_b4, tables_b4):
@@ -71,6 +72,7 @@ def test_gap_positive_inside_window(params_b4, tables_b4):
         lambda E: potential_underlying(E, params_b4, tables_b4[1]),
         gap.basin_sup, 1.0, 4001)
     E0 = iterate_underlying(0.0, params_b4, tables_b4[0]).final
+    assert gap.E0 == E0
     want = F_best - potential_underlying(E0, params_b4, tables_b4[1])
     # the solver refines past the oracle grid, so it can only be lower
     assert gap.delta_F <= want + 1e-12

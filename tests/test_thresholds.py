@@ -7,7 +7,7 @@ from scse import (BracketingError, MCConfig, MonotonicityError,
                   UnderlyingParams, amp_threshold_coupled,
                   amp_threshold_underlying, build_tables, capacity,
                   large_B_limits, potential_threshold)
-from scse import denoiser, thresholds
+from scse import denoiser, potential, state_evolution, thresholds
 from scse.thresholds import _Eval, _ThresholdSearch
 
 SIGMA2 = 1.0 / 15.0
@@ -188,6 +188,25 @@ def test_shared_factory_builds_each_rate_once(monkeypatch):
         assert (a.value, a.bracket_lo, a.bracket_hi) == (b.value, b.bracket_lo, b.bracket_hi)
         assert a.metadata["history"] == b.metadata["history"]
         assert a == b
+
+
+def test_potential_threshold_runs_floor_twice_per_rate(monkeypatch):
+    # each rate's floor comes from free_energy_gap and from basin_boundary;
+    # the search reads the gap's copy instead of a third run from E = 0
+    p = UnderlyingParams(B=4, R=1.0, sigma2=SIGMA2)
+    tables = build_tables(p, MCConfig(seed=1, n_samples=65536), n_points=16)
+    starts = []
+    real = state_evolution.iterate_underlying
+
+    def counting(E_init, *args, **kwargs):
+        starts.append(E_init)
+        return real(E_init, *args, **kwargs)
+
+    for module in (state_evolution, potential, thresholds):
+        monkeypatch.setattr(module, "iterate_underlying", counting)
+    rep = potential_threshold(p, tables)
+    assert rep.evaluations == 15
+    assert starts.count(0.0) == 2 * rep.evaluations
 
 
 def test_threshold_search_fails_when_monostable_b2():
