@@ -18,12 +18,12 @@ from .state_evolution import (DEGRADED_EQUAL, INCOMPARABLE, REVERSED,
                               STRICTLY_DEGRADED, ErrorProfile,
                               FixedPointReport, SaturatedProfile,
                               basin_boundary, fixed_point_tolerance,
-                              is_degraded, iterate_coupled,
+                              fold_rate, is_degraded, iterate_coupled,
                               iterate_underlying, max_profile_increment,
                               ones_profile, pinned_columns, pinned_rows,
-                              saturate_profile, se_step_coupled,
-                              se_step_underlying, shift, sigma_underlying,
-                              zeros_profile)
+                              saturate_profile, scalar_fixed_points,
+                              se_step_coupled, se_step_underlying, shift,
+                              sigma_underlying, zeros_profile)
 from .thresholds import (BracketingError, MonotonicityError, ThresholdReport,
                          ThresholdSearchError, amp_threshold_coupled,
                          amp_threshold_underlying, large_B_limits,

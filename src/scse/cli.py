@@ -52,6 +52,11 @@ class RunConfig:
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
+        if not all(v > 0 and math.isfinite(v) for v in (self.tol, self.tol_R)):
+            raise ValueError("tol and tol_R must be positive and finite, "
+                             f"got {self.tol} and {self.tol_R}")
+        if self.n_points < 16:  # build_tables' minimum, checked before any build
+            raise ValueError("n_points must be at least 16")
         # the lookup tables end at the largest Sigma a rate of RATE_CAP * C reaches
         if self.R is not None and self.R > RATE_CAP * capacity(self.snr):
             raise ValueError(f"R must be at most {RATE_CAP:g} times capacity, "
@@ -168,7 +173,7 @@ def cmd_potential(cfg: RunConfig) -> int:
                                            curve.U_values, curve.S_values,
                                            curve.stderrs, large)]
     _write_csv(_out(cfg, "potential_curve.csv"), cfg, "E,F,U,S,stderr,F_large_B", rows)
-    gap = free_energy_gap(p, tables, tol=cfg.tol, max_iters=cfg.max_iters)
+    gap = free_energy_gap(p, tables, tol=cfg.tol)
     _write_json(_out(cfg, "gap_report.json"),
                 {"config": cfg.to_dict(), "delta_F": gap.delta_F,
                  "argmin_E": gap.argmin_E, "basin_sup": gap.basin_sup})
@@ -179,8 +184,8 @@ def cmd_potential(cfg: RunConfig) -> int:
 def _threshold_row(cfg: RunConfig):
     base = UnderlyingParams(B=cfg.B, R=0.5 * capacity(cfg.snr), sigma2=cfg.sigma2)
     tables = build_tables(base, cfg.mc(), n_points=cfg.n_points)
-    r_u = amp_threshold_underlying(base, tables, cfg.tol_R, cfg.tol, cfg.max_iters)
-    r_pot = potential_threshold(base, tables, cfg.tol_R, cfg.tol, cfg.max_iters)
+    r_u = amp_threshold_underlying(base, tables, cfg.tol_R, cfg.tol)
+    r_pot = potential_threshold(base, tables, cfg.tol_R, cfg.tol)
     r_c = amp_threshold_coupled(base, cfg.Gamma, cfg.w, tables, cfg.tol_R,
                                 cfg.design_fn(), cfg.tol, cfg.max_iters)
     return r_u, r_pot, r_c
@@ -289,9 +294,9 @@ def _resolve_config(args: argparse.Namespace,
             values[dest] = flag_val
     try:
         cfg = RunConfig(**values)
-        cfg.params()        # triggers parameter validation
+        # build every parameter object once, so a bad value exits 2 before any work
         cfg.mc()
-        cfg.design_fn()
+        CoupledParams(cfg.params(), cfg.Gamma, cfg.w, cfg.design_fn())
     except (ValueError, TypeError) as exc:
         parser.error(str(exc))
     return cfg

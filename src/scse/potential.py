@@ -17,9 +17,9 @@ import numpy as np
 
 from .denoiser import MonotoneTable
 from .ensemble import CouplingMatrix, UnderlyingParams
-from .state_evolution import (DEFAULT_MAX_ITERS, DEFAULT_TOL, ErrorProfile,
-                              _inverse_noise_moment, basin_boundary,
-                              iterate_underlying, sigma_underlying)
+from .state_evolution import (DEFAULT_TOL, ErrorProfile, _inverse_noise_moment,
+                              basin_boundary, scalar_fixed_points,
+                              sigma_underlying)
 
 LN2 = math.log(2.0)
 
@@ -38,7 +38,7 @@ class GapReport:
     delta_F: float            # +inf when the floor attracts everything
     argmin_E: float | None
     basin_sup: float
-    E0: float                 # the floor, SE's fixed point from E = 0
+    E0: float                 # the floor, the smallest fixed point
 
 
 def potential_energy_underlying(E: float, params: UnderlyingParams) -> float:
@@ -65,16 +65,15 @@ def potential_curve(params: UnderlyingParams, entropy_table: MonotoneTable,
 
 
 def free_energy_gap(params: UnderlyingParams, tables, grid_size: int = 512,
-                    tol: float = DEFAULT_TOL,
-                    max_iters: int = DEFAULT_MAX_ITERS) -> GapReport:
+                    tol: float = DEFAULT_TOL) -> GapReport:
     """Infimum of F(E) - F(floor) over starts the floor does not attract.
 
     tables is the (mmse_table, entropy_table) pair.  When the basin is the
     whole domain the infimum runs over the empty set and the gap is +inf.
     """
     mmse_table, entropy_table = tables
-    E0 = iterate_underlying(0.0, params, mmse_table, tol, max_iters).final
-    Ebar = basin_boundary(params, mmse_table, tol, max_iters=max_iters)
+    E0 = float(scalar_fixed_points(params, mmse_table)[0])
+    Ebar = basin_boundary(params, mmse_table, tol)
     if Ebar >= 1.0:
         return GapReport(delta_F=math.inf, argmin_E=None, basin_sup=1.0, E0=E0)
 

@@ -6,7 +6,9 @@ effective noise built from the rows it touches, the section MSE of the 4w
 boundary columns is pinned to zero (the decoder knows those sections), and
 the row profile is the J-weighted average of the column MSEs.  With monotone
 tables every operator here is exactly monotone, componentwise, in floating
-point, which the degradation and convergence arguments lean on.
+point, which the degradation and convergence arguments lean on.  The table
+is piecewise linear in Sigma, so scalar_fixed_points solves the scalar fixed
+points exactly, one quadratic per segment; floor, basin and fold read them.
 
 Profiles are validated in two places.  ErrorProfile checks length and the
 [0, 1] range when it is built.  The coupled step (_coupled_step, shared by
@@ -146,31 +148,83 @@ def fixed_point_tolerance(table: MonotoneTable, params: UnderlyingParams, E0: fl
     return max(10.0 * tol, 3.0 * table.stderr_at(sigma_underlying(E0, params)))
 
 
-def basin_boundary(params: UnderlyingParams, table: MonotoneTable,
-                   tol: float = DEFAULT_TOL, precision: float = 1e-6,
-                   max_iters: int = DEFAULT_MAX_ITERS) -> float:
-    """Largest initial MSE still attracted to the floor, by bisection.
+def _segments(table: MonotoneTable) -> tuple:
+    """(a, b) with the table equal to a_k + b_k Sigma on segment k."""
+    s, v = table.sigma_grid, table.values
+    b = np.diff(v) / np.diff(s)
+    return v[:-1] - b * s[:-1], b
 
-    Returns 1.0 when every start converges to the floor (the basin is the
-    whole domain); otherwise the boundary to within `precision`.
+
+def scalar_fixed_points(params: UnderlyingParams, table: MonotoneTable) -> np.ndarray:
+    """Every fixed point E = mmse(Sigma(E)) in [0, 1], sorted, solved on the table.
+
+    Where the table is a_k + b_k Sigma (segment k), a fixed point solves
+    Sigma^2 - R b_k Sigma - R (sigma2 + a_k) = 0; it counts only inside its
+    half-open segment and maps to E = Sigma^2/R - sigma2.  Raises ValueError
+    when Sigma(E) for E in [0, 1] leaves the grid, where roots would be missed.
     """
-    E0 = iterate_underlying(0.0, params, table, tol, max_iters).final
-    radius = fixed_point_tolerance(table, params, E0, tol)
+    R, s2 = params.R, params.sigma2
+    s = table.sigma_grid
+    if not s[0] <= math.sqrt(R * s2) or not math.sqrt(R * (s2 + 1.0)) <= s[-1]:
+        raise ValueError(f"the table grid [{s[0]:.6g}, {s[-1]:.6g}] does not cover "
+                         f"Sigma(E) for E in [0, 1] at R={R:.6g}, sigma2={s2:.6g}")
+    a, b = _segments(table)
+    c = R * (s2 + a)
+    disc = (R * b) ** 2 + 4.0 * c
+    ok = disc >= 0.0
+    big = 0.5 * (R * b[ok] + np.sqrt(disc[ok]))   # > 0, since b >= 0
+    sigma = np.stack([big, -c[ok] / big])           # the root product is -c
+    inside = (sigma >= s[:-1][ok]) & (sigma < s[1:][ok])
+    return np.unique(np.clip(sigma[inside] ** 2 / R - s2, 0.0, 1.0))
 
-    def in_basin(E_init):
-        final = iterate_underlying(E_init, params, table, tol, max_iters).final
-        return abs(final - E0) <= radius
 
-    if in_basin(1.0):
+def basin_boundary(params: UnderlyingParams, table: MonotoneTable,
+                   tol: float = DEFAULT_TOL) -> float:
+    """Supremum of the initial MSEs whose limit lies within radius of the floor.
+
+    Between adjacent fixed points f(E) - E keeps one sign, so a start there
+    runs down to the lower root when f < E at their midpoint and up to the
+    upper root otherwise.  Returns 1.0 when every start reaches the floor.
+    """
+    roots = scalar_fixed_points(params, table)
+    radius = fixed_point_tolerance(table, params, roots[0], tol)
+    k = int(np.searchsorted(roots, roots[0] + radius, side="right"))  # first root outside
+    if k == roots.size:
         return 1.0
-    lo, hi = E0, 1.0
-    while hi - lo > precision:
-        mid = 0.5 * (lo + hi)
-        if in_basin(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    mid = 0.5 * (roots[k - 1] + roots[k])
+    return float(roots[k] if se_step_underlying(mid, params, table) < mid else roots[k - 1])
+
+
+def fold_rate(params: UnderlyingParams, table: MonotoneTable,
+              tol: float = DEFAULT_TOL) -> float | None:
+    """Rate at which the floor vanishes; None when no bistable window ends on the table.
+
+    The fixed points at rate R solve R = Sigma^2/(sigma2 + mmse(Sigma)), so
+    they change only at extrema of that curve: at nodes, or inside segment k
+    at Sigma* = -2(sigma2 + a_k)/b_k.  One rate between adjacent extremal
+    values classifies each window, bistable when the roots spread beyond the
+    floor's radius; the fold ends the first run of bistable windows.
+    """
+    s2, s = params.sigma2, table.sigma_grid
+    a, b = _segments(table)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        star = -2.0 * (s2 + a) / b
+    sigma = np.sort(np.concatenate([s, star[(star > s[:-1]) & (star < s[1:])]]))
+    curve = sigma ** 2 / (s2 + table(sigma))
+    turns = np.sign(np.diff(curve))
+    extrema = curve[1:-1][turns[1:] != turns[:-1]]
+    # rates whose Sigma range the grid covers
+    lo, hi = s[0] ** 2 / s2, s[-1] ** 2 / (s2 + 1.0)
+    edges = np.unique(np.clip(np.concatenate([extrema, [lo, hi]]), lo, hi))
+    bistable_seen = False
+    for R_lo, R_hi in zip(edges[:-1], edges[1:]):
+        p = params.with_rate(0.5 * (R_lo + R_hi))
+        roots = scalar_fixed_points(p, table)
+        if roots[-1] - roots[0] > fixed_point_tolerance(table, p, roots[0], tol):
+            bistable_seen = True
+        elif bistable_seen:
+            return float(R_lo)
+    return None
 
 
 def _inverse_noise_moment(values: np.ndarray, J: CouplingMatrix,
@@ -261,11 +315,11 @@ def coupled_decode(J: CouplingMatrix, params: UnderlyingParams, table: MonotoneT
                    max_iters: int = DEFAULT_MAX_ITERS) -> tuple:
     """Run the pinned coupled recursion from the all-ones start and classify it.
 
-    Returns (run, E0, radius, decoded): E0 is the scalar floor, radius its
-    fixed_point_tolerance, and decoded says the whole final profile lies
-    within radius of the floor.
+    Returns (run, E0, radius, decoded): E0 is the scalar floor, the smallest
+    fixed point; radius is its fixed_point_tolerance; and decoded says the
+    whole final profile lies within radius of the floor.
     """
-    E0 = iterate_underlying(0.0, params, table, tol).final
+    E0 = float(scalar_fixed_points(params, table)[0])
     radius = fixed_point_tolerance(table, params, E0, tol)
     run = iterate_coupled(ones_profile(J.Gamma, J.w), J, params, table, tol, max_iters)
     return run, E0, radius, bool((run.final.values <= E0 + radius).all())

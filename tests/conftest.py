@@ -59,3 +59,8 @@ def tables_b2(params_b2, mc_small):
 @pytest.fixture(scope="session")
 def tables_b4(params_b4, mc_small):
     return build_tables(params_b4, mc_small, n_points=96)
+
+
+@pytest.fixture(scope="session")
+def tables_b16(mc_small):
+    return build_tables(UnderlyingParams(B=16, R=1.6, sigma2=SIGMA2), mc_small, n_points=96)

@@ -281,3 +281,73 @@ def reference_iterate_underlying(E_init, params, table, tol, max_iters, on_step=
         if residual <= tol:
             return E, t, residual, True, monotone
     return E, max_iters, residual, False, monotone
+
+
+# Fixed points of a table-backed scalar recursion, found without solving the
+# per-segment quadratics: sign changes of f(E) - E on a dense grid, with
+# f read from the table's nodes through np.interp.
+
+def table_se_gap(table, R, sigma2, E):
+    """f(E) - E for the scalar recursion on the table's nodes."""
+    E = np.asarray(E, dtype=float)
+    return _table_lookup(table, np.sqrt(R * (sigma2 + E))) - E
+
+
+def dense_scan_fixed_points(table, R, sigma2, n=200001):
+    """Midpoints of the cells of an n-point grid on [0, 1] where f(E) - E
+    changes sign: one per fixed point, to within half a cell (2.5e-6 at the
+    default n), unless two roots share a cell."""
+    E = np.linspace(0.0, 1.0, n)
+    up = table_se_gap(table, R, sigma2, E) > 0.0
+    idx = np.nonzero(up[1:] != up[:-1])[0]
+    return 0.5 * (E[idx] + E[idx + 1])
+
+
+def reference_radius(table, R, sigma2, E0, tol):
+    """max(10 tol, 3 x the table's stderr at Sigma(E0))."""
+    sigma = math.sqrt(R * (sigma2 + E0))
+    return max(10.0 * tol, 3.0 * float(np.interp(sigma, table.sigma_grid, table.stderrs)))
+
+
+def bisection_basin_boundary(params, table, tol=1e-8, precision=1e-6, max_iters=10_000):
+    """The basin boundary as first computed: bisect in the start E between
+    the floor and 1 on whether the recursion returns within radius of the
+    floor it reaches from E = 0."""
+    E0 = reference_iterate_underlying(0.0, params, table, tol, max_iters)[0]
+    radius = reference_radius(table, params.R, params.sigma2, E0, tol)
+
+    def in_basin(E_init):
+        final = reference_iterate_underlying(E_init, params, table, tol, max_iters)[0]
+        return abs(final - E0) <= radius
+
+    if in_basin(1.0):
+        return 1.0
+    lo, hi = E0, 1.0
+    while hi - lo > precision:
+        mid = 0.5 * (lo + hi)
+        if in_basin(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def floor_jump_rate(table, sigma2, R_lo, R_hi, jump, tol_R):
+    """Rate in [R_lo, R_hi] where the smallest dense-scan fixed point jumps
+    by more than `jump`, bisected to tol_R; None when it never does."""
+    def floor(R):
+        return dense_scan_fixed_points(table, R, sigma2)[0]
+
+    rates = np.arange(R_lo, R_hi, 0.01)
+    floors = [floor(R) for R in rates]
+    for k in range(1, len(rates)):
+        if floors[k] - floors[k - 1] > jump:
+            lo, hi, E_lo = rates[k - 1], rates[k], floors[k - 1]
+            while hi - lo > tol_R:
+                mid = 0.5 * (lo + hi)
+                if floor(mid) - E_lo > jump:
+                    hi = mid
+                else:
+                    lo, E_lo = mid, floor(mid)
+            return 0.5 * (lo + hi)
+    return None

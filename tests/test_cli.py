@@ -189,30 +189,27 @@ def test_config_file_unknown_key(tmp_path):
 
 
 # `scse thresholds --B 4 --gamma 64 --w 3 --samples 65536 --n-points 16
-# --seed 1`, recorded before free_energy_gap's refinement moved from
-# scipy.optimize.minimize_scalar to the in-package port of the same routine.
+# --seed 1`.  Values and brackets were recorded before free_energy_gap's
+# refinement moved from scipy.optimize.minimize_scalar to the in-package
+# port of the same routine; the evaluation counts and the history were
+# re-recorded when the scalar fixed points came to be solved exactly on the
+# table (the search no longer evaluates rates at or above the fold).
 FROZEN_THRESHOLDS = {
-    "underlying": ("1.568359375", ["1.56640625", "1.5703125"], 16),
-    "potential": ("1.642578125", ["1.640625", "1.64453125"], 15),
-    "coupled": ("1.626953125", ["1.625", "1.62890625"], 15),
+    "underlying": ("1.568359375", ["1.56640625", "1.5703125"], 8),
+    "potential": ("1.642578125", ["1.640625", "1.64453125"], 8),
+    "coupled": ("1.626953125", ["1.625", "1.62890625"], 8),
 }
-# (R, delta_F, basin_sup, E0) of every potential-threshold evaluation
+# (R, delta_F, basin_sup, E0) of every potential-threshold evaluation, in
+# evaluation order
 FROZEN_POTENTIAL_HISTORY = [
-    ("1.0", "inf", "1.0", "0.0011140304595173747"),
-    ("1.5", "inf", "1.0", "0.015032238417111338"),
-    ("1.625", "0.008047568178447984", "0.06788636552485057", "0.024708304283311604"),
-    ("1.640625", "0.0007880069368326748", "0.06136341138660663", "0.025913795322936386"),
-    ("1.64453125", "-0.0009994312674159733", "0.05990222035310146", "0.026215046217923928"),
-    ("1.6484375", "-0.0027759974723102765", "0.05849869838275446", "0.026516249358827657"),
-    ("1.65625", "-0.006296729327206929", "0.055842184766116736", "0.02711851430750319"),
-    ("1.6875", "-0.019955583271072497", "0.04679450455201681", "0.029525757553527904"),
-    ("1.71875", "-0.032956549898715215", "0.03952054100305964", "0.031930261081991054"),
-    ("1.734375", "-0.03921882526913012", "0.036355594386476286", "0.0331315500298243"),
-    ("1.7421875", "-0.04229187752235508", "0.03486956224199741", "0.033731964309124264"),
-    ("1.74609375", "-0.04381406326551551", "0.03414772810601589", "0.034032115151353085"),
-    ("1.748046875", "inf", "1.0", "0.3454033638005074"),
-    ("1.75", "inf", "1.0", "0.3459595612057933"),
-    ("2.0", "inf", "1.0", "0.4170588283377324"),
+    ("1.0", "inf", "1.0", "0.0011140308485053374"),
+    ("1.5", "inf", "1.0", "0.015032248403332726"),
+    ("1.625", "0.008047562175740541", "0.06788640039080611", "0.024708315639006898"),
+    ("1.6875", "-0.019955589718917865", "0.04679423667361686", "0.02952576915509439"),
+    ("1.65625", "-0.0062967357806460456", "0.055842213598876714", "0.027118525808627378"),
+    ("1.640625", "0.0007880006260994055", "0.06136322114721511", "0.02591380675772216"),
+    ("1.6484375", "-0.0027760036102204566", "0.05849837237520637", "0.026516260828274837"),
+    ("1.64453125", "-0.0009994375494262187", "0.059902545151830924", "0.026215057670425673"),
 ]
 
 
@@ -329,6 +326,29 @@ def test_se_matches_library(tmp_path, mode, max_iters):
         assert report["profile"] == run.final.values.tolist()
     _, _, rows = _read_csv(tmp_path / f"se_trace_{mode}.csv")
     assert rows == want
+
+
+@pytest.mark.parametrize("flag,value", [("--tol-R", "0"), ("--tol-R", "-0.01"),
+                                        ("--tol-R", "nan"), ("--tol", "0")])
+def test_thresholds_tolerance_must_be_positive(tmp_path, flag, value, capsys):
+    # a zero, negative or NaN tol_R once left the threshold search bisecting forever
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path, "thresholds", "--B", "4", flag, value, *FAST)
+    assert exc.value.code == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--n-points", "3"], "n_points must be at least 16"),
+    (["--gamma", "10", "--w", "3"], "need Gamma > 8w"),
+])
+def test_bad_sizes_rejected_before_any_build(tmp_path, args, message, capsys, counted_builds):
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path, "thresholds", "--B", "4", "--samples", "4000", *args)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert counted_builds == [] and not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("flag,value", [("--e-init", "2.5"), ("--e-init", "-1"),

@@ -13,7 +13,8 @@ from scse import (CoupledParams, ErrorProfile, MCConfig, UnderlyingParams,
                   iterate_underlying, potential_coupled, potential_curve,
                   potential_energy_underlying, potential_large_B,
                   potential_underlying, rectangular_design,
-                  sigma_underlying, stationarity_residual)
+                  scalar_fixed_points, sigma_underlying,
+                  stationarity_residual)
 from scse import potential
 
 from oracles import (b2_entropy_quad, fd_slope, grid_argmin,
@@ -59,7 +60,9 @@ def test_gap_infinite_when_basin_is_everything(params_b2, tables_b2):
     assert gap.delta_F == math.inf
     assert gap.basin_sup == 1.0
     assert gap.argmin_E is None
-    assert gap.E0 == iterate_underlying(0.0, params_b2, tables_b2[0]).final
+    assert gap.E0 == scalar_fixed_points(params_b2, tables_b2[0])[0]
+    assert gap.E0 == pytest.approx(iterate_underlying(0.0, params_b2, tables_b2[0]).final,
+                                   abs=1e-7)
 
 
 def test_gap_positive_inside_window(params_b4, tables_b4):
@@ -71,8 +74,9 @@ def test_gap_positive_inside_window(params_b4, tables_b4):
     E_best, F_best = grid_argmin(
         lambda E: potential_underlying(E, params_b4, tables_b4[1]),
         gap.basin_sup, 1.0, 4001)
-    E0 = iterate_underlying(0.0, params_b4, tables_b4[0]).final
+    E0 = scalar_fixed_points(params_b4, tables_b4[0])[0]
     assert gap.E0 == E0
+    assert E0 == pytest.approx(iterate_underlying(0.0, params_b4, tables_b4[0]).final, abs=1e-7)
     want = F_best - potential_underlying(E0, params_b4, tables_b4[1])
     # the solver refines past the oracle grid, so it can only be lower
     assert gap.delta_F <= want + 1e-12
@@ -195,11 +199,6 @@ def test_bounded_brent_evaluation_cap():
     # a negative xatol never satisfies the stopping rule, so only the cap ends it
     seen = _assert_matches_scipy(lambda x: (x - 0.3) ** 2, 0.0, 1.0, -1.0)
     assert len(seen) == 500
-
-
-@pytest.fixture(scope="module")
-def tables_b16(mc_small):
-    return build_tables(UnderlyingParams(B=16, R=1.6, sigma2=SIGMA2), mc_small, n_points=96)
 
 
 @pytest.mark.parametrize("xatol", [1e-10, 1e-5])

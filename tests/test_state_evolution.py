@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from scse import (CoupledParams, DEGRADED_EQUAL, ErrorProfile,
-                  INCOMPARABLE, REVERSED, STRICTLY_DEGRADED,
+                  INCOMPARABLE, MCConfig, REVERSED, STRICTLY_DEGRADED,
                   UnderlyingParams, basin_boundary, build_coupling_matrix,
-                  make_design,
+                  build_tables, capacity, fold_rate, make_design,
+                  scalar_fixed_points,
                   fixed_point_tolerance, is_degraded, iterate_coupled,
                   iterate_underlying, max_profile_increment, ones_profile,
                   pinned_columns, pinned_rows, rectangular_design,
@@ -15,9 +16,11 @@ from scse import (CoupledParams, DEGRADED_EQUAL, ErrorProfile,
                   shift, sigma_underlying, zeros_profile)
 from scse.state_evolution import _coupled_step, _inverse_noise_moment
 
-from oracles import (b2_se_fixed_points, direct_sigma_coupled,
-                     reference_coupled_step, reference_iterate_coupled,
-                     reference_iterate_underlying, saturation_case_24)
+from oracles import (b2_se_fixed_points, bisection_basin_boundary,
+                     dense_scan_fixed_points, direct_sigma_coupled,
+                     floor_jump_rate, reference_coupled_step,
+                     reference_iterate_coupled, reference_iterate_underlying,
+                     saturation_case_24, table_se_gap)
 
 SIGMA2 = 1.0 / 15.0
 
@@ -88,6 +91,88 @@ def test_basin_boundary_bistable(params_b4, tables_b4):
     above = iterate_underlying(b + 1e-3, params_b4, mmse_t).final
     assert abs(below - lo) <= radius
     assert above - lo > 0.1
+
+
+@pytest.fixture(scope="module")
+def mmse_tables(tables_b2, tables_b4, tables_b16):
+    """mmse tables by section size at snr 15 (20000 samples, 96 nodes)."""
+    return {2: tables_b2[0], 4: tables_b4[0], 16: tables_b16[0]}
+
+
+@pytest.fixture(scope="module")
+def table_b4_16_nodes():
+    """The 16-node B=4 table of `scse thresholds --samples 65536 --n-points 16
+    --seed 1`, whose fold sits at R = 1.7465."""
+    p = UnderlyingParams(B=4, R=1.0, sigma2=SIGMA2)
+    return build_tables(p, MCConfig(seed=1, n_samples=65536), n_points=16)[0]
+
+
+# (B, R): below, inside and above the bistable window where there is one
+WINDOW_RATES = [(2, 1.5), (2, 1.9), (4, 1.3), (4, 1.6), (4, 1.75), (4, 1.9),
+                (16, 1.3), (16, 1.6), (16, 2.2), (16, 2.8)]
+
+
+@pytest.mark.parametrize("B,R", WINDOW_RATES)
+def test_scalar_fixed_points_match_dense_scan(mmse_tables, B, R):
+    table = mmse_tables[B]
+    roots = scalar_fixed_points(UnderlyingParams(B=B, R=R, sigma2=SIGMA2), table)
+    scan = dense_scan_fixed_points(table, R, SIGMA2)
+    assert roots.size == scan.size and roots.size in (1, 3)
+    assert np.all(np.diff(roots) > 0)
+    assert np.abs(roots - scan).max() <= 2.5e-6     # half a scan cell
+    assert np.abs(table_se_gap(table, R, SIGMA2, roots)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("B,R", WINDOW_RATES)
+def test_basin_boundary_matches_bisection(mmse_tables, B, R):
+    p = UnderlyingParams(B=B, R=R, sigma2=SIGMA2)
+    assert basin_boundary(p, mmse_tables[B]) == pytest.approx(
+        bisection_basin_boundary(p, mmse_tables[B]), abs=1e-6)
+
+
+def test_basin_boundary_next_to_the_fold(table_b4_16_nodes):
+    # just below the fold the floor and the unstable root lie within one
+    # radius; the basin ends at the unstable root, not at the first root
+    # beyond the radius (0.345)
+    p = UnderlyingParams(B=4, R=1.74609375, sigma2=SIGMA2)
+    roots = scalar_fixed_points(p, table_b4_16_nodes)
+    radius = fixed_point_tolerance(table_b4_16_nodes, p, roots[0])
+    assert roots.size == 3 and roots[1] - roots[0] <= radius < roots[2] - roots[0]
+    b = basin_boundary(p, table_b4_16_nodes)
+    assert b == roots[1]
+    assert b == pytest.approx(bisection_basin_boundary(p, table_b4_16_nodes), abs=1e-6)
+
+
+@pytest.mark.parametrize("B", [2, 4, 16])
+def test_fold_rate_matches_floor_jump_scan(mmse_tables, B):
+    p = UnderlyingParams(B=B, R=1.0, sigma2=SIGMA2)
+    fold = fold_rate(p, mmse_tables[B])
+    scan = floor_jump_rate(mmse_tables[B], SIGMA2, 1.0, 3.0, jump=0.05, tol_R=1e-4)
+    if B == 2:      # monostable at every rate: the floor never vanishes
+        assert fold is None and scan is None
+    else:
+        assert fold == pytest.approx(scan, abs=2e-3)
+
+
+def test_fold_rate_on_the_frozen_table(table_b4_16_nodes):
+    # the frozen potential history saw the floor at R = 1.74609375 and the
+    # high branch at 1.748046875
+    p = UnderlyingParams(B=4, R=1.0, sigma2=SIGMA2)
+    assert 1.74609375 < fold_rate(p, table_b4_16_nodes) < 1.748046875
+
+
+def test_scalar_fixed_points_reject_rates_off_the_grid(mmse_tables):
+    # roots outside the table grid would be missed, so these raise
+    C = capacity(15.0)
+    with pytest.raises(ValueError, match="does not cover"):
+        scalar_fixed_points(UnderlyingParams(B=4, R=5.0 * C, sigma2=SIGMA2), mmse_tables[4])
+    assert scalar_fixed_points(UnderlyingParams(B=4, R=4.0 * C, sigma2=SIGMA2),
+                               mmse_tables[4]).size == 1
+    # a table built for snr 3 ends below the Sigma that R = 4C reaches at snr 15
+    snr3 = build_tables(UnderlyingParams(B=4, R=1.0, sigma2=1.0 / 3.0),
+                        MCConfig(seed=0, n_samples=2000), n_points=16)[0]
+    with pytest.raises(ValueError, match="does not cover"):
+        scalar_fixed_points(UnderlyingParams(B=4, R=4.0 * C, sigma2=SIGMA2), snr3)
 
 
 def test_pinned_index_sets():

@@ -8,7 +8,7 @@ from scse import (BracketingError, MCConfig, MonotonicityError,
                   amp_threshold_underlying, build_tables, capacity,
                   large_B_limits, potential_threshold)
 from scse import denoiser, potential, state_evolution, thresholds
-from scse.thresholds import _Eval, _ThresholdSearch
+from scse.thresholds import _audit, _search
 
 SIGMA2 = 1.0 / 15.0
 
@@ -27,97 +27,76 @@ def test_large_B_limits_closed_form():
     assert abs(pot - 2.0) <= 1e-12
 
 
-def _search(success_fn, e0_fn, tol_R=2e-3):
-    def ev(R):
-        return _Eval(success_fn(R), e0_fn(R), {})
-    return _ThresholdSearch(ev, tol_R)
+def _solve(success_fn, tol_R=2e-3, fold=math.inf):
+    """The shared search on a synthetic predicate; capacity 2 puts the
+    start at 1, the cap at 8 and the floor at 2/256."""
+    return _search(lambda R: {"success": success_fn(R), "E0": 0.1}, 2.0, tol_R, fold)
 
 
 def test_search_clean_monotone_threshold():
     true_R = 1.3456
-    s = _search(lambda R: R <= true_R, lambda R: 0.1 * R)
-    lo, hi = s.solve(R_start=1.0, R_cap=8.0, R_floor=0.01)
+    lo, hi, history = _solve(lambda R: R <= true_R)
     assert hi - lo <= 2 * 2e-3
     assert lo <= true_R <= hi
-    assert s.fold_R is None
-    # classified history is a clean prefix of successes
-    flags = [ok for _, ok, _ in s.classified()]
+    # the history is a clean prefix of successes
+    flags = [row["success"] for row in sorted(history, key=lambda row: row["R"])]
     assert flags == sorted(flags, reverse=True)
 
 
 def test_search_starts_above_threshold():
-    s = _search(lambda R: R <= 0.17, lambda R: 0.0)
-    lo, hi = s.solve(R_start=1.0, R_cap=8.0, R_floor=0.001)
+    lo, hi, _ = _solve(lambda R: R <= 0.17)
     assert lo <= 0.17 <= hi and hi - lo <= 4e-3
 
 
 def test_search_resolves_fold_trap():
-    # Above the fold at 1.3 the floor jumps to the bad branch and the raw
-    # predicate turns true again; the solver must keep the 1.2 threshold
-    # and classify everything above the fold as failure.
-    def success(R):
-        return R <= 1.2 or R >= 1.3
-
-    def e0(R):
-        return 0.05 * R if R < 1.3 else 0.6
-
-    s = _search(success, e0)
-    lo, hi = s.solve(R_start=1.0, R_cap=16.0, R_floor=0.01)
-    assert lo <= 1.2 <= hi + 2e-3
-    assert hi <= 1.25
-    assert s.fold_R is not None and abs(s.fold_R - 1.3) <= 5e-3
-    above = [ok for R, ok, ev in s.classified() if R > s.fold_R]
-    assert above and not any(above)
-    raw_above = [ev.success_raw for R, ok, ev in s.classified() if R > s.fold_R]
-    assert any(raw_above)  # the trap really was there
+    # Above the fold at 1.3 the raw predicate turns true again; a known fold
+    # keeps the 1.2 threshold, and no rate at or above it is evaluated.
+    lo, hi, history = _solve(lambda R: R <= 1.2 or R >= 1.3, fold=1.3)
+    assert lo <= 1.2 <= hi and hi - lo <= 4e-3
+    assert history and max(row["R"] for row in history) < 1.3
+    # without the fold the search walks into the trap and finds no flip
+    with pytest.raises(BracketingError):
+        _solve(lambda R: R <= 1.2 or R >= 1.3)
 
 
-def test_search_continuous_drift_is_not_a_fold():
-    # E0 drifts by more than the jump tolerance across the range but is
-    # continuous; bisection in R absorbs it without declaring a fold.
-    s = _search(lambda R: R <= 2.0, lambda R: 0.3 * R)
-    lo, hi = s.solve(R_start=1.0, R_cap=16.0, R_floor=0.01)
-    assert s.fold_R is None
-    assert lo <= 2.0 <= hi + 2e-3
+def test_search_stops_when_the_bracket_meets_float_spacing():
+    # below the float spacing the bisection must stop, not spin on one midpoint
+    for tol_R in (1e-300, 0.0, -0.01):
+        lo, hi, history = _solve(lambda R: R <= 1.3456, tol_R=tol_R)
+        assert lo < hi == np.nextafter(lo, 2.0)
+        assert len(history) < 64
+
+
+def test_threshold_solve_below_float_spacing_returns():
+    p = UnderlyingParams(B=4, R=1.0, sigma2=SIGMA2)
+    tables = build_tables(p, MCConfig(seed=1, n_samples=65536), n_points=16)
+    rep = amp_threshold_underlying(p, tables, tol_R=1e-300)
+    assert rep.bracket_hi == np.nextafter(rep.bracket_lo, 2.0)
+    assert 1.56640625 <= rep.bracket_lo < 1.5703125
 
 
 def test_search_monotonicity_audit():
-    # re-entrant success with a continuous floor cannot be explained by a
-    # fold and must abort with diagnostics
-    def success(R):
-        return R <= 1.2 or R >= 2.5
-
-    s = _search(success, lambda R: 0.05 * R)
-    s._run(1.0)
-    s._run(3.0)
+    # re-entrant success cannot be a threshold and must abort with diagnostics
+    history = [{"R": R, "success": ok, "E0": 0.1}
+               for R, ok in ((1.0, True), (3.0, True), (2.0, False))]
     with pytest.raises(MonotonicityError) as err:
-        s._run(2.0)
-        s._bracket()
+        _audit(history)
     assert "not monotone" in str(err.value)
-    assert err.value.history
+    assert err.value.history == history
+    _audit(history[:1] + history[2:])
 
 
 def test_search_never_fails_raises():
-    s = _search(lambda R: True, lambda R: 0.1)
     with pytest.raises(BracketingError) as err:
-        s.solve(R_start=1.0, R_cap=8.0, R_floor=0.01)
+        _solve(lambda R: True)
     assert "still holds" in str(err.value)
     assert err.value.history
 
 
 def test_search_always_fails_raises():
-    s = _search(lambda R: False, lambda R: 0.1)
     with pytest.raises(BracketingError) as err:
-        s.solve(R_start=1.0, R_cap=8.0, R_floor=0.01)
+        _solve(lambda R: False)
     assert "already fails" in str(err.value)
-
-
-def test_search_evaluation_budget():
-    s = _search(lambda R: True, lambda R: 0.1)
-    with pytest.raises(BracketingError) as err:
-        for k in range(300):
-            s._run(1.0 + k * 1e-6)
-    assert "budget" in str(err.value)
 
 
 def test_amp_threshold_underlying_b4():
@@ -153,7 +132,7 @@ def test_amp_threshold_coupled_b4_small():
     # frozen: round-off changes in the coupled operator must not move the bisection
     assert rep.value == 1.642578125
     assert (rep.bracket_lo, rep.bracket_hi) == (1.640625, 1.64453125)
-    assert rep.evaluations == 17
+    assert rep.evaluations == 9
 
 
 def _three_solves(p, tables, tol_R):
@@ -190,23 +169,21 @@ def test_shared_factory_builds_each_rate_once(monkeypatch):
         assert a == b
 
 
-def test_potential_threshold_runs_floor_twice_per_rate(monkeypatch):
-    # each rate's floor comes from free_energy_gap and from basin_boundary;
-    # the search reads the gap's copy instead of a third run from E = 0
+def test_potential_threshold_runs_no_state_evolution(monkeypatch):
+    # every floor and basin is read from the exact fixed points
     p = UnderlyingParams(B=4, R=1.0, sigma2=SIGMA2)
     tables = build_tables(p, MCConfig(seed=1, n_samples=65536), n_points=16)
     starts = []
-    real = state_evolution.iterate_underlying
 
     def counting(E_init, *args, **kwargs):
         starts.append(E_init)
-        return real(E_init, *args, **kwargs)
+        raise AssertionError("a scalar solve ran state evolution")
 
     for module in (state_evolution, potential, thresholds):
-        monkeypatch.setattr(module, "iterate_underlying", counting)
+        monkeypatch.setattr(module, "iterate_underlying", counting, raising=False)
     rep = potential_threshold(p, tables)
-    assert rep.evaluations == 15
-    assert starts.count(0.0) == 2 * rep.evaluations
+    assert rep.evaluations == 8
+    assert starts == []
 
 
 def test_threshold_search_fails_when_monostable_b2():
