@@ -19,7 +19,14 @@ stream_moments runs the per-chunk jobs of every estimator on a thread pool
 sized to the CPUs the process may use (numpy releases the interpreter lock in
 its loops).  Each statistic's chunk sum is the same numpy call on the same
 array whichever thread makes it, and the sums are added in stream order, so
-results are bit-identical for any worker count.
+results are bit-identical for any worker count.  gaussian_block draws its
+row tiles on the same pool.
+
+The inverse normal CDF is _ndtri, a numpy port of the Cephes ndtri (Cephes
+Math Library, Copyright 1984-2002 Stephen L. Moshier) as scipy 1.17 ships it
+in scipy.special (BSD-3-Clause, 2003-2024 SciPy Developers): the same
+coefficients, Horner order, branch tests and sign flip, so every sample
+matches scipy.special.ndtri bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
+from numpy.random import Generator, Philox  # at import: numpy loads it lazily
 
 from .ensemble import RATE_CAP, RATE_FLOOR, UnderlyingParams, atomic_write, capacity
 
@@ -95,9 +102,127 @@ def _uniform_words(seed: int, word_start: int, n_words: int) -> np.ndarray:
     values bit for bit.
     """
     pad = word_start % 4
-    bg = np.random.Philox(key=seed)
+    bg = Philox(key=seed)
     bg.advance((word_start - pad) // 4)
-    return np.random.Generator(bg).random(pad + n_words)[pad:]
+    return Generator(bg).random(pad + n_words)[pad:]
+
+
+# Cephes ndtri: x = y + y y^2 P0(y^2)/Q0(y^2) scaled by sqrt(2 pi), with
+# y = p - 1/2, for exp(-2) < p < 1 - exp(-2); in the tails x = sqrt(-2 ln p)
+# and the result is x - ln(x)/x - P(1/x)/(x Q(1/x)) with (P1, Q1) for x < 8
+# and (P2, Q2) beyond.  The Q's leading coefficient 1 is implicit (p1evl).
+_EXPM2 = 0.13533528323661269189  # exp(-2)
+_S2PI = 2.50662827463100050242  # sqrt(2 pi)
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+       -5.66762857469070293439E1, 1.39312609387279679503E1,
+       -1.23916583867381258016E0)
+_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+       8.63602421390890590575E1, -2.25462687854119370527E2,
+       2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+       5.71628192246421288162E1, 4.40805073893200834700E1,
+       1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+       -8.57456785154685413611E-4)
+_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+       4.13172038254672030440E1, 1.50425385692907503408E1,
+       2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
+       3.93881025292474443415E0, 1.33303460815807542389E0,
+       2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6,
+       6.23974539184983293730E-9)
+_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
+       1.37702099489081330271E0, 2.16236993594496635890E-1,
+       1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+
+
+def _horner(x: np.ndarray, coef: tuple, monic: bool = False) -> np.ndarray:
+    """Cephes polevl (or p1evl when monic, leading coefficient 1 implied):
+    ans = ans * x + c from the highest coefficient down, in one new array."""
+    if monic:
+        ans = x + coef[0]
+    else:
+        ans = x * coef[0]
+        ans += coef[1]
+        coef = coef[1:]
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _clog(x: np.ndarray) -> np.ndarray:
+    """Natural log of a forward contiguous 1-D array by the C library's log.
+
+    numpy's SIMD float64 log, taken for contiguous arrays on some CPUs,
+    differs from the C library's in the last bit on a few inputs.  Read
+    backwards, the input keeps numpy on its scalar loop, which calls the C
+    library's log as Cephes does; the output is written forwards and read
+    back reversed.  (Reversing the output too would let numpy flip both
+    strides and return to the SIMD loop.)
+    """
+    return np.log(x[::-1])[::-1]
+
+
+def _ndtri_tails(y: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Cephes ndtri's tail branch on words y <= exp(-2), negated where lower
+    (Cephes flips an upper-tail word p to y = 1 - p and leaves its sign)."""
+    x = -2.0 * _clog(y)  # a new forward array, as _clog(x) needs
+    np.sqrt(x, out=x)
+    out = _clog(x)
+    out /= x
+    np.subtract(x, out, out=out)
+    z = 1.0 / x
+    x1 = z * _horner(z, _P1)
+    x1 /= _horner(z, _Q1, monic=True)
+    far = np.flatnonzero(x >= 8.0)  # y < exp(-32)
+    if far.size:
+        zf = z[far]
+        x1[far] = zf * _horner(zf, _P2) / _horner(zf, _Q2, monic=True)
+    out -= x1
+    np.negative(out, out=out, where=lower)
+    return out
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """Inverse normal CDF of a contiguous 1-D array of words in (0, 1).
+
+    Bit for bit Cephes ndtri (see the module docstring); p is overwritten.
+    Cephes flips p > 1 - exp(-2) to 1 - p, which is exact, and since
+    1 - fl(1 - exp(-2)) == fl(exp(-2)) a flipped word always lands in a
+    tail.  So the tail words are taken out first, and the central fit then
+    runs in place on every word; the tails overwrite their slots after.
+    """
+    tail = np.flatnonzero((p <= _EXPM2) | (p > 1.0 - _EXPM2))
+    y = p[tail]
+    lower = y <= 0.5
+    np.subtract(1.0, y, out=y, where=~lower)
+    x_tail = _ndtri_tails(y, lower)
+    del y, lower
+
+    p -= 0.5
+    y2 = p * p
+    x = _horner(y2, _P0)
+    x *= y2
+    x /= _horner(y2, _Q0, monic=True)
+    del y2
+    x *= p
+    x += p
+    x *= _S2PI
+    x[tail] = x_tail
+    return x
+
+
+def _draw_tile(z: np.ndarray, seed: int, B: int, start: int, rows: tuple) -> None:
+    """Draw rows a..b-1 of the stream into z, the block that starts at start."""
+    a, b = rows
+    u = _uniform_words(seed, a * B, (b - a) * B)
+    np.maximum(u, 1e-300, out=u)
+    z[a - start:b - start] = _ndtri(u).reshape(b - a, B)
 
 
 def gaussian_block(seed: int, B: int, start: int, stop: int) -> np.ndarray:
@@ -105,13 +230,13 @@ def gaussian_block(seed: int, B: int, start: int, stop: int) -> np.ndarray:
 
     The (rows, B) block is column-major, so each component is one contiguous
     column and section_stats reduces across components column by column.  It
-    is drawn tile by tile, so only one tile of uniform words is alive at once.
+    is drawn tile by tile on the Monte-Carlo pool; the tiles are disjoint and
+    each is drawn on its own, so the block does not depend on the workers,
+    and only one tile of uniform words per worker is alive at once.
     """
     z = np.empty((stop - start, B), order="F")
-    for a, b in _tiles(start, stop, B):
-        u = _uniform_words(seed, a * B, (b - a) * B).reshape(b - a, B)
-        np.maximum(u, 1e-300, out=u)
-        ndtri(u, out=z[a - start:b - start])
+    mapper = map if _WORKERS == 1 else _executor(_WORKERS).map
+    list(mapper(functools.partial(_draw_tile, z, seed, B, start), _tiles(start, stop, B)))
     return z
 
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .denoiser import MonotoneTable
 from .ensemble import CouplingMatrix, UnderlyingParams
-from .state_evolution import (DEFAULT_TOL, ErrorProfile, _inverse_noise_moment,
-                              basin_boundary, scalar_fixed_points,
+from .state_evolution import (DEFAULT_TOL, ErrorProfile, _basin_boundary,
+                              _inverse_noise_moment, scalar_fixed_points,
                               sigma_underlying)
 
 LN2 = math.log(2.0)
@@ -72,8 +72,9 @@ def free_energy_gap(params: UnderlyingParams, tables, grid_size: int = 512,
     whole domain the infimum runs over the empty set and the gap is +inf.
     """
     mmse_table, entropy_table = tables
-    E0 = float(scalar_fixed_points(params, mmse_table)[0])
-    Ebar = basin_boundary(params, mmse_table, tol)
+    roots = scalar_fixed_points(params, mmse_table)
+    E0 = float(roots[0])
+    Ebar = _basin_boundary(params, mmse_table, roots, tol)
     if Ebar >= 1.0:
         return GapReport(delta_F=math.inf, argmin_E=None, basin_sup=1.0, E0=E0)
 

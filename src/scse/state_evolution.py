@@ -186,7 +186,12 @@ def basin_boundary(params: UnderlyingParams, table: MonotoneTable,
     runs down to the lower root when f < E at their midpoint and up to the
     upper root otherwise.  Returns 1.0 when every start reaches the floor.
     """
-    roots = scalar_fixed_points(params, table)
+    return _basin_boundary(params, table, scalar_fixed_points(params, table), tol)
+
+
+def _basin_boundary(params: UnderlyingParams, table: MonotoneTable,
+                    roots: np.ndarray, tol: float) -> float:
+    """basin_boundary from the fixed points scalar_fixed_points returned."""
     radius = fixed_point_tolerance(table, params, roots[0], tol)
     k = int(np.searchsorted(roots, roots[0] + radius, side="right"))  # first root outside
     if k == roots.size:

@@ -90,8 +90,12 @@ def _search(ev, C: float, tol_R: float, fold: float = math.inf) -> tuple:
     The search starts at C/2 and stays within [RATE_FLOOR C, RATE_CAP C] for
     capacity C.  ev(R) returns a dict with "success" and "E0", recorded with R in the
     history.  A rate at or above fold fails without a call to ev.  The
-    bisection also stops once the midpoint rounds to an end of the bracket.
+    bisection also stops once the midpoint rounds to an end of the bracket,
+    so a tol_R of 0 or below the float spacing ends at adjacent floats.  A
+    NaN, infinite or negative tol_R raises ValueError.
     """
+    if not 0.0 <= tol_R < math.inf:
+        raise ValueError(f"tol_R must be nonnegative and finite, got {tol_R}")
     history = []
 
     def success(R: float) -> bool:

@@ -1,6 +1,9 @@
 import hashlib
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -63,6 +66,96 @@ def test_gaussian_block_column_major_same_values(monkeypatch):
             z = gaussian_block(3, 4, start, stop)
             assert z.flags.f_contiguous and z.shape == (stop - start, 4)
             np.testing.assert_array_equal(z, expected[start:stop])
+
+
+def _assert_ndtri_bits(words):
+    got = denoiser._ndtri(words.copy())
+    want = ndtri(words)
+    bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert bad.size == 0, [(float(words[k]), float(got[k]), float(want[k])) for k in bad[:5]]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ndtri_matches_scipy_on_philox_words(seed):
+    # 4e6 words per seed, 2e7 over the five, drawn as gaussian_block draws them
+    for k in range(4):
+        words = denoiser._uniform_words(seed, k * 1_000_000, 1_000_000)
+        _assert_ndtri_bits(np.maximum(words, 1e-300))
+
+
+def test_ndtri_matches_scipy_on_edge_words():
+    ulp = 2.0 ** -53
+    expm2, expm32 = math.exp(-2.0), math.exp(-32.0)
+
+    def around(x, n=8):  # n floats on each side of x, and x
+        up, down = [x], [x]
+        for _ in range(n):
+            up.append(math.nextafter(up[-1], 1.0))
+            down.append(math.nextafter(down[-1], 0.0))
+        return down[:0:-1] + up
+
+    k = np.arange(1.0, 4097.0)
+    words = np.concatenate([
+        [1e-300, 0.5],
+        k * ulp,                               # the smallest words; e^-32 is 114 ulp
+        1.0 - k * ulp,                         # the largest words, from 1 - 2^-53
+        around(expm2), around(1.0 - expm2),    # the central fit's ends
+        around(expm32),                        # the tail fits' switch, off the word grid
+    ])
+    assert ((words > 0.0) & (words < 1.0)).all()
+    assert (k * ulp < expm32).sum() == 114
+    _assert_ndtri_bits(words)
+
+
+def test_clog_is_the_c_library_log():
+    # numpy's contiguous SIMD log may differ from the C library's in the last
+    # bit, and scipy's ndtri uses the C library's; a numpy whose scalar loop
+    # were vectorized too would fail here
+    words = denoiser._uniform_words(0, 0, 400_000) * math.exp(-2.0)
+    exact = np.array([math.log(w) for w in words])
+    simd = np.log(words)
+    np.testing.assert_array_equal(denoiser._clog(words), exact)
+    differ = simd != exact
+    np.testing.assert_array_equal(denoiser._clog(words[differ]), exact[differ])
+    for w in words[differ][:16]:  # alone, where a size-1 array counts as contiguous
+        assert denoiser._clog(np.array([w]))[0] == math.log(w)
+
+
+@pytest.mark.parametrize("B", [4, 16])
+def test_gaussian_block_same_on_any_pool(mc_layout, B):
+    # the pooled tiles reproduce the serial untiled draw; at B=16, tiles of
+    # 5000 rows end inside the block, and the block starts off a tile
+    with serial_untiled():
+        want = gaussian_block(9, B, 37, 70_001)
+    got = gaussian_block(9, B, 37, 70_001)
+    assert got.flags.f_contiguous
+    np.testing.assert_array_equal(got, want)
+
+
+def test_gaussian_block_pool_stress(monkeypatch):
+    # more workers than cores (up to 8 cores), 7-row tiles and a short switch
+    # interval: the threads write disjoint tiles of one block, switching often
+    with serial_untiled():
+        want = gaussian_block(2, 4, 3, 5003)
+    monkeypatch.setattr(denoiser, "_WORKERS", min((os.cpu_count() or 1) + 1, 9))
+    monkeypatch.setattr(denoiser, "_TILE", 28)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = gaussian_block(2, 4, 3, 5003)
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(denoiser.__file__)))
+    code = ("import sys, scse, scse.cli\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _two_pass_stats(z, sigma, B):

@@ -15,7 +15,7 @@ from scse import (CoupledParams, ErrorProfile, MCConfig, UnderlyingParams,
                   potential_underlying, rectangular_design,
                   scalar_fixed_points, sigma_underlying,
                   stationarity_residual)
-from scse import potential
+from scse import potential, state_evolution
 
 from oracles import (b2_entropy_quad, fd_slope, grid_argmin,
                      large_b_potential_direct)
@@ -92,6 +92,21 @@ def test_gap_sign_flips_across_potential_threshold(params_b4, mc_small):
         gaps[R] = free_energy_gap(p, tabs).delta_F
     assert gaps[1.55] > 0.0
     assert gaps[1.72] < 0.0
+
+
+def test_gap_solves_the_fixed_points_once(monkeypatch, params_b4, tables_b4):
+    # E0 and the basin boundary read the same roots
+    calls = []
+
+    def counting(params, table):
+        calls.append(params.R)
+        return scalar_fixed_points(params, table)
+
+    monkeypatch.setattr(potential, "scalar_fixed_points", counting)
+    monkeypatch.setattr(state_evolution, "scalar_fixed_points", counting)
+    gap = free_energy_gap(params_b4, tables_b4)
+    assert 0.0 < gap.basin_sup < 1.0
+    assert calls == [params_b4.R]
 
 
 def test_potential_coupled_sums_rows_and_columns(params_b4, tables_b4):

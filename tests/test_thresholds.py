@@ -61,10 +61,20 @@ def test_search_resolves_fold_trap():
 
 def test_search_stops_when_the_bracket_meets_float_spacing():
     # below the float spacing the bisection must stop, not spin on one midpoint
-    for tol_R in (1e-300, 0.0, -0.01):
+    for tol_R in (1e-300, 0.0):
         lo, hi, history = _solve(lambda R: R <= 1.3456, tol_R=tol_R)
         assert lo < hi == np.nextafter(lo, 2.0)
         assert len(history) < 64
+
+
+@pytest.mark.parametrize("tol_R", [float("nan"), math.inf, -0.01])
+def test_search_rejects_nan_infinite_or_negative_tol(tol_R):
+    # a NaN or infinite tol_R would skip the bisection and report the bare
+    # doubling bracket as converged
+    calls = []
+    with pytest.raises(ValueError, match="tol_R"):
+        _solve(lambda R: calls.append(R) or R <= 1.3456, tol_R=tol_R)
+    assert not calls
 
 
 def test_threshold_solve_below_float_spacing_returns():
