@@ -22,6 +22,14 @@ array whichever thread makes it, and the sums are added in stream order, so
 results are bit-identical for any worker count.  gaussian_block draws its
 row tiles on the same pool.
 
+section_stats allocates nothing per tile: each thread keeps one score buffer
+and two row vectors across tiles and calls, every pass writes in place or
+through out=, and the row results go straight into the outputs.  The
+outputs of one call are the rows of one new block.  glibc's malloc would
+return the pages of three separate 512 KB arrays after every call and fault
+them back in on the next, until the first freed 8 MB Gaussian block raises
+its trim threshold; a freed 1.5 MB block raises it at once.
+
 The inverse normal CDF is _ndtri, a numpy port of the Cephes ndtri (Cephes
 Math Library, Copyright 1984-2002 Stephen L. Moshier) as scipy 1.17 ships it
 in scipy.special (BSD-3-Clause, 2003-2024 SciPy Developers): the same
@@ -35,6 +43,7 @@ import functools
 import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -44,11 +53,15 @@ from numpy.random import Generator, Philox  # at import: numpy loads it lazily
 from .ensemble import RATE_CAP, RATE_FLOOR, UnderlyingParams, atomic_write, capacity
 
 _CHUNK = 65536  # fixed so accumulation order never depends on n_samples
-# elements per row tile of the sampling and kernel loops (4096 rows at B=16):
-# 512 KB of doubles, so each tile's passes stay in a 2 MB L2 cache, yet large
-# enough that the per-tile interpreter overhead stays small even at B=4; row
-# results do not depend on it
+# elements per row tile of the sampling loop (4096 rows at B=16): 512 KB of
+# uniform words, so each tile's ndtri passes and temporaries stay small
 _TILE = 65536
+# the kernel's budget in doubles per tile: _KERNEL_TILE // (B + 2) rows, so a
+# tile's column-major scores and its two row vectors fill 1 MB at any B and
+# stay in a 2 MB L2 cache.  Against 512 KB tiles this halves the per-tile
+# interpreter and lock hand-off overhead, which costs a pooled B=16 build
+# about a fifth of its time.  Row results depend on neither tile.
+_KERNEL_TILE = 131072
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
@@ -240,42 +253,77 @@ def gaussian_block(seed: int, B: int, start: int, stop: int) -> np.ndarray:
     return z
 
 
-def _scores(z: np.ndarray, sigma: float, B: int) -> np.ndarray:
+def _scores(z: np.ndarray, sigma: float, B: int, out: np.ndarray | None = None) -> np.ndarray:
     lb = math.log2(B)
-    u = np.multiply(z, math.sqrt(lb) / sigma, order="F")
+    u = np.multiply(z, math.sqrt(lb) / sigma, out=out, order="F")
     u[:, 0] += lb / (sigma * sigma)
     return u
+
+
+_scratch = threading.local()
+
+
+def _kernel_scratch(rows: int, B: int) -> tuple:
+    """This thread's score buffer of rows*B doubles and its two row vectors,
+    made anew only when a call needs another (rows, B)."""
+    s = _scratch
+    if getattr(s, "shape", None) != (rows, B):
+        s.shape, s.bufs = (rows, B), (np.empty(rows * B), np.empty(rows), np.empty(rows))
+    return s.bufs
 
 
 def section_stats(z: np.ndarray, sigma: float, B: int) -> dict:
     """Per-sample squared error, entropy summand and true-component weight.
 
-    One exp pass over the shifted scores e = exp(u - max u), done in place on
-    a column-major copy of the scores, serves all three integrands:
+    One exp pass over the shifted scores e = exp(u - max u) serves all three
+    integrands:
       f1:      posterior weight of the transmitted component, e_1 / sum e
       mmse:    sum_i (f_i - s_i)^2 = sum e^2 / (sum e)^2 - 2 f_1 + 1
       entropy: log_B of the posterior-odds sum = (log sum e - (u_1 - max u))/ln(B)
-    The rows are walked in cache-sized tiles; numpy reduces a column-major
-    tile across components one column at a time, so no row depends on the
-    tiling.
+    The rows are walked in tiles of _KERNEL_TILE // (B + 2) rows, in the
+    calling thread's scratch: a column-major score buffer and two row
+    vectors, about 1 MB, sized min(tile rows, n) and kept across tiles and
+    calls.  Each pass writes in place or through out=, and the row results
+    (u_1 - max u, sum e^2, f1) go straight into the output slices, so a tile
+    allocates nothing.  numpy reduces a column-major tile across components
+    one column at a time, so no row depends on the tiling.
+
+    z is left untouched.  The three outputs are the rows of one new (3, n)
+    block, so they share memory with no other call's; a caller that keeps
+    one of them keeps all three alive.
     """
     n = z.shape[0]
-    sq, ent, f1 = np.empty(n), np.empty(n), np.empty(n)
-    for a, b in _tiles(0, n, B):
-        u = _scores(z[a:b], sigma, B)
-        u -= u.max(axis=1)[:, None]
-        u1 = u[:, 0].copy()
+    sq, ent, f1 = np.empty((3, n))
+    step = max(1, _KERNEL_TILE // (B + 2))
+    scores, r1, r2 = _kernel_scratch(min(step, n), B)
+    ln_b = math.log(B)
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        u = scores[:(b - a) * B].reshape(b - a, B, order="F")
+        mx, tot = r1[:b - a], r2[:b - a]
+        s, e, f = sq[a:b], ent[a:b], f1[a:b]
+        _scores(z[a:b], sigma, B, out=u)
+        np.max(u, axis=1, out=mx)
+        u -= mx[:, None]
+        e[:] = u[:, 0]  # u_1 - max u, until the entropy is formed below
         # exp(-300) < 1e-130 is lost against the largest term exp(0) = 1 in
         # every sum below, and 1 - f1 rounds to 1 either way; clipping only
         # keeps exp and the squares out of the slow underflow and subnormal
         # range at small sigma
         np.maximum(u, -300.0, out=u)
         np.exp(u, out=u)
-        tot = u.sum(axis=1)
-        f1[a:b] = u[:, 0] / tot
+        np.sum(u, axis=1, out=tot)
+        np.divide(u[:, 0], tot, out=f)
         np.square(u, out=u)
-        sq[a:b] = u.sum(axis=1) / (tot * tot) - 2.0 * f1[a:b] + 1.0
-        ent[a:b] = (np.log(tot) - u1) / math.log(B)
+        np.sum(u, axis=1, out=s)  # sum e^2
+        np.multiply(tot, tot, out=mx)
+        s /= mx
+        np.multiply(2.0, f, out=mx)
+        s -= mx
+        s += 1.0
+        np.log(tot, out=tot)
+        np.subtract(tot, e, out=e)
+        e /= ln_b
     return {"mmse": sq, "entropy": ent, "f1": f1}
 
 

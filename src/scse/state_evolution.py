@@ -148,6 +148,17 @@ def fixed_point_tolerance(table: MonotoneTable, params: UnderlyingParams, E0: fl
     return max(10.0 * tol, 3.0 * table.stderr_at(sigma_underlying(E0, params)))
 
 
+def _sorted_distinct(x: np.ndarray) -> np.ndarray:
+    """np.unique of a finite 1-D array: sorted, each value equal to its left
+    neighbour dropped.  np.unique does the same here, but its first call
+    imports numpy.ma."""
+    x = np.sort(x)
+    keep = np.empty(x.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
 def _segments(table: MonotoneTable) -> tuple:
     """(a, b) with the table equal to a_k + b_k Sigma on segment k."""
     s, v = table.sigma_grid, table.values
@@ -175,7 +186,7 @@ def scalar_fixed_points(params: UnderlyingParams, table: MonotoneTable) -> np.nd
     big = 0.5 * (R * b[ok] + np.sqrt(disc[ok]))   # > 0, since b >= 0
     sigma = np.stack([big, -c[ok] / big])           # the root product is -c
     inside = (sigma >= s[:-1][ok]) & (sigma < s[1:][ok])
-    return np.unique(np.clip(sigma[inside] ** 2 / R - s2, 0.0, 1.0))
+    return _sorted_distinct(np.clip(sigma[inside] ** 2 / R - s2, 0.0, 1.0))
 
 
 def basin_boundary(params: UnderlyingParams, table: MonotoneTable,
@@ -220,7 +231,7 @@ def fold_rate(params: UnderlyingParams, table: MonotoneTable,
     extrema = curve[1:-1][turns[1:] != turns[:-1]]
     # rates whose Sigma range the grid covers
     lo, hi = s[0] ** 2 / s2, s[-1] ** 2 / (s2 + 1.0)
-    edges = np.unique(np.clip(np.concatenate([extrema, [lo, hi]]), lo, hi))
+    edges = _sorted_distinct(np.clip(np.concatenate([extrema, [lo, hi]]), lo, hi))
     bistable_seen = False
     for R_lo, R_hi in zip(edges[:-1], edges[1:]):
         p = params.with_rate(0.5 * (R_lo + R_hi))

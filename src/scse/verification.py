@@ -258,13 +258,18 @@ def i_mmse_report(params: UnderlyingParams, mc: MCConfig, sigma_grid=None,
 
     def point(z, sig, sigs):
         # three statistics per point: D = slope + c*mmse, and the slope at
-        # steps h and h/2
-        ent = {k: section_stats(z, s, params.B)["entropy"] for k, s in sigs.items()}
-        m = section_stats(z, sig, params.B)["mmse"]
-        slope_h = lb * (ent["p"] - ent["m"]) / (2.0 * h)
-        yield slope_h + coefficient * m
+        # steps h and h/2.  A kernel call's outputs are one block, so the
+        # first entropy of each difference is copied out before the second
+        # call runs and one call's block is alive at a time.
+        def ent_diff(up, down):
+            d = section_stats(z, sigs[up], params.B)["entropy"].copy()
+            d -= section_stats(z, sigs[down], params.B)["entropy"]
+            return d
+
+        slope_h = lb * ent_diff("p", "m") / (2.0 * h)
+        yield slope_h + coefficient * section_stats(z, sig, params.B)["mmse"]
         yield slope_h
-        yield lb * (ent["p2"] - ent["m2"]) / h
+        yield lb * ent_diff("p2", "m2") / h
 
     means, stderrs = stream_moments(mc, params.B, [
         functools.partial(point, sig=sig, sigs=sigs) for sig, sigs in points])

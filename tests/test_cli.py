@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -225,6 +227,20 @@ def test_thresholds_frozen_artifacts(tmp_path):
             for h in history] == FROZEN_POTENTIAL_HISTORY
     _, _, rows = _read_csv(tmp_path / "thresholds.csv")
     assert rows == ["4,15.0,64,3,1.568359375,1.642578125,1.626953125,2.0"]
+
+
+def test_thresholds_do_not_load_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call; the fixed-point solves
+    # take their sorted distinct values without it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    argv = ["thresholds", "--B", "4", "--gamma", "64", "--w", "3", "--samples", "65536",
+            "--n-points", "16", "--seed", "1", "--outdir", str(tmp_path)]
+    code = ("import sys\nfrom scse.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.fixture

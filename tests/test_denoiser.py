@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import multiprocessing
 import os
@@ -213,6 +214,66 @@ def test_section_stats_clip_is_exact(B, sigma):
     np.testing.assert_array_equal(got["entropy"], ref["entropy"])
     np.testing.assert_array_equal(got["mmse"] - (1.0 - got["f1"]),
                                   ref["mmse"] - (1.0 - ref["f1"]))
+
+
+def _assert_same_stats(got, want):
+    assert list(got) == list(want)
+    for key in want:
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+
+
+def test_section_stats_outputs_are_fresh():
+    # the thread's scratch is reused across calls; the outputs never are
+    z = gaussian_block(3, 16, 0, 10_000)
+    before = z.copy()
+    first = section_stats(z, 0.5, 16)
+    kept = {key: v.copy() for key, v in first.items()}
+    second = section_stats(z, 0.7, 16)
+    np.testing.assert_array_equal(z, before)
+    for a in first.values():
+        assert not np.shares_memory(a, z)
+        for b in second.values():
+            assert not np.shares_memory(a, b)
+    for one, other in itertools.combinations(first.values(), 2):
+        assert not np.shares_memory(one, other)
+    _assert_same_stats(first, kept)  # the second call wrote nothing into the first's
+
+
+def test_section_stats_alternating_B_matches_untiled():
+    # every change of B or of the row count makes the thread's scratch anew.
+    # At the default kernel tile, 40000 rows end on a partial tile at each B
+    # (32768, 21845, 7281 and 3855 rows per tile at B = 2, 4, 16, 32), and
+    # 3000 rows fit in one tile larger than the block at every B
+    cases = [(B, sigma, n) for n in (40_000, 3000)
+             for B, sigma in ((2, 0.3), (4, 0.05), (16, 1.2), (32, 0.4),
+                              (4, 2.0), (2, 0.02), (32, 0.9), (16, 0.1))]
+    blocks = {(B, n): gaussian_block(5, B, 0, n) for B, _, n in cases}
+    got = [section_stats(blocks[B, n], sigma, B) for B, sigma, n in cases]
+    with serial_untiled():
+        want = [section_stats(blocks[B, n], sigma, B) for B, sigma, n in cases]
+    for g, w in zip(got, want):
+        _assert_same_stats(g, w)
+
+
+def test_section_stats_concurrent_on_pool():
+    # calls of mixed B and sigma on a Monte-Carlo pool with more workers than
+    # cores (up to 8 cores), switching often, each in its own thread's
+    # scratch, match calls on this thread; runs of one B put concurrent calls
+    # on scratch of the same shape
+    blocks = {B: gaussian_block(8, B, 0, 30_000) for B in (2, 4, 16, 32)}
+    sigmas = [float(s) for s in np.geomspace(0.02, 3.0, 6)]
+    cases = ([(B, sigma) for B in blocks for sigma in sigmas]
+             + [(B, sigma) for sigma in sigmas for B in blocks])
+    want = [section_stats(blocks[B], sigma, B) for B, sigma in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = list(denoiser._executor(min((os.cpu_count() or 1) + 1, 9)).map(
+            lambda case: section_stats(blocks[case[0]], case[1], case[0]), cases, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for g, w in zip(got, want):
+        _assert_same_stats(g, w)
 
 
 def test_denoise_section_matches_direct_softmax():

@@ -14,7 +14,7 @@ from scse import (CoupledParams, DEGRADED_EQUAL, ErrorProfile,
                   pinned_columns, pinned_rows, rectangular_design,
                   saturate_profile, se_step_coupled, se_step_underlying,
                   shift, sigma_underlying, zeros_profile)
-from scse.state_evolution import _coupled_step, _inverse_noise_moment
+from scse.state_evolution import _coupled_step, _inverse_noise_moment, _sorted_distinct
 
 from oracles import (b2_se_fixed_points, bisection_basin_boundary,
                      dense_scan_fixed_points, direct_sigma_coupled,
@@ -159,6 +159,16 @@ def test_fold_rate_on_the_frozen_table(table_b4_16_nodes):
     # high branch at 1.748046875
     p = UnderlyingParams(B=4, R=1.0, sigma2=SIGMA2)
     assert 1.74609375 < fold_rate(p, table_b4_16_nodes) < 1.748046875
+
+
+@pytest.mark.parametrize("x", [[0.3, 0.1, 0.3, 0.2, 0.1, 0.1], [-0.0, 0.0], [0.0, -0.0],
+                               [1.0, -0.0, 0.0, 1.0, -0.0], [0.5], [], np.linspace(1, 0, 7)])
+def test_sorted_distinct_is_unique(x):
+    x = np.array(x, dtype=float)
+    got, want = _sorted_distinct(x.copy()), np.unique(x)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))  # which zero is kept
 
 
 def test_scalar_fixed_points_reject_rates_off_the_grid(mmse_tables):
