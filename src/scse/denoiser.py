@@ -30,6 +30,15 @@ return the pages of three separate 512 KB arrays after every call and fault
 them back in on the next, until the first freed 8 MB Gaussian block raises
 its trim threshold; a freed 1.5 MB block raises it at once.
 
+section_stats skips every kernel tile whose rows are decided: each off
+score sits so far below the transmitted one (_decided_margin) that the
+posterior is the transmitted index to machine precision, and the full passes
+would give exactly mmse = entropy = 0 and f1 = 1.  The test reads z's off
+columns once per tile and is exact, not statistical (see section_stats).  At
+the low-noise end of a table's grid, where the floor E0 and the pinned
+boundary blocks of the coupled chain sit, about two fifths of a table
+build's tile-rows are decided.
+
 The inverse normal CDF is _ndtri, a numpy port of the Cephes ndtri (Cephes
 Math Library, Copyright 1984-2002 Stephen L. Moshier) as scipy 1.17 ships it
 in scipy.special (BSD-3-Clause, 2003-2024 SciPy Developers): the same
@@ -253,10 +262,16 @@ def gaussian_block(seed: int, B: int, start: int, stop: int) -> np.ndarray:
     return z
 
 
-def _scores(z: np.ndarray, sigma: float, B: int, out: np.ndarray | None = None) -> np.ndarray:
+def _score_scales(sigma: float, B: int) -> tuple:
+    """(c, d) with u = c z, plus d on the transmitted component."""
     lb = math.log2(B)
-    u = np.multiply(z, math.sqrt(lb) / sigma, out=out, order="F")
-    u[:, 0] += lb / (sigma * sigma)
+    return math.sqrt(lb) / sigma, lb / (sigma * sigma)
+
+
+def _scores(z: np.ndarray, sigma: float, B: int, out: np.ndarray | None = None) -> np.ndarray:
+    c, d = _score_scales(sigma, B)
+    u = np.multiply(z, c, out=out, order="F")
+    u[:, 0] += d
     return u
 
 
@@ -270,6 +285,19 @@ def _kernel_scratch(rows: int, B: int) -> tuple:
     if getattr(s, "shape", None) != (rows, B):
         s.shape, s.bufs = (rows, B), (np.empty(rows * B), np.empty(rows), np.empty(rows))
     return s.bufs
+
+
+def _decided_margin(B: int) -> float:
+    """M such that a row whose off scores all sit at least M below u_1 gives
+    exactly sum e = sum e^2 = 1 in section_stats.
+
+    Each off weight is then at most e^-M, and (B - 1) e^-M < 2^-53 once
+    M > 53 ln 2 + ln(B - 1), about 36.7 + ln(B - 1): the off weights add up
+    to less than half an ulp of the weight e^0 = 1 of u_1, so both sums
+    round to 1 in any order.  ln B for ln(B - 1) and the extra 1 (a factor
+    e) leave room for the last-bit error of exp.
+    """
+    return 53 * math.log(2) + math.log(B) + 1.0
 
 
 def section_stats(z: np.ndarray, sigma: float, B: int) -> dict:
@@ -288,6 +316,24 @@ def section_stats(z: np.ndarray, sigma: float, B: int) -> dict:
     allocates nothing.  numpy reduces a column-major tile across components
     one column at a time, so no row depends on the tiling.
 
+    Decided tiles skip the kernel.  A row is decided when u_1 and
+    max_{j>1} u_j are finite and max_{j>1} u_j - u_1 <= -M, with
+    M = _decided_margin(B).  Then max u = u_1 and sum e = sum e^2 = 1, so
+    the passes below give exactly f1 = 1, mmse = 1 - 2 + 1 = +0.0 and
+    entropy = (log 1 - 0)/ln(B) = +0.0.  The test is exact: c =
+    sqrt(log2 B)/Sigma > 0 and rounding is monotone, so max_{j>1} fl(c z_j)
+    = fl(c max_{j>1} z_j), and every shifted off score fl(u_j - u_1) is at
+    most fl(fl(c max_{j>1} z_j) - u_1).  That bound is formed per row from
+    z's off columns.  When it is <= -M on every row of a tile, the tile's
+    outputs are written as (+0.0, +0.0, 1.0) and nothing else runs.  Any
+    other tile runs the full passes, with max u = max(fl(c max_{j>1} z_j),
+    u_1), the same value bit for bit as a row max over u.  At the low-noise
+    end of a table grid most tiles are decided.  A NaN or +inf in z, or a
+    -inf in its first column or in all of its others, keeps a row
+    undecided.  A -inf off entry below a finite row max does not; the full
+    passes give that row the same exact zeros, as they clip its shifted
+    score to -300.
+
     z is left untouched.  The three outputs are the rows of one new (3, n)
     block, so they share memory with no other call's; a caller that keeps
     one of them keeps all three alive.
@@ -296,14 +342,29 @@ def section_stats(z: np.ndarray, sigma: float, B: int) -> dict:
     sq, ent, f1 = np.empty((3, n))
     step = max(1, _KERNEL_TILE // (B + 2))
     scores, r1, r2 = _kernel_scratch(min(step, n), B)
+    c, d = _score_scales(sigma, B)
+    margin = -_decided_margin(B)
     ln_b = math.log(B)
     for a in range(0, n, step):
         b = min(a + step, n)
-        u = scores[:(b - a) * B].reshape(b - a, B, order="F")
+        zt = z[a:b]
         mx, tot = r1[:b - a], r2[:b - a]
         s, e, f = sq[a:b], ent[a:b], f1[a:b]
-        _scores(z[a:b], sigma, B, out=u)
-        np.max(u, axis=1, out=mx)
+        np.max(zt[:, 1:], axis=1, out=mx)
+        mx *= c  # max_{j>1} u_j
+        np.multiply(zt[:, 0], c, out=tot)
+        tot += d  # u_1
+        np.subtract(mx, tot, out=s)
+        # a NaN or +inf anywhere, or -inf in u_1, fails the first test, and
+        # u_1 = +inf or every u_j = -inf the second (see the docstring)
+        if s.max() <= margin and s.min() > -math.inf:
+            s[:] = 0.0
+            e[:] = 0.0
+            f[:] = 1.0
+            continue
+        np.maximum(mx, tot, out=mx)
+        u = scores[:(b - a) * B].reshape(b - a, B, order="F")
+        _scores(zt, sigma, B, out=u)
         u -= mx[:, None]
         e[:] = u[:, 0]  # u_1 - max u, until the entropy is formed below
         # exp(-300) < 1e-130 is lost against the largest term exp(0) = 1 in

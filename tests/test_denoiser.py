@@ -18,7 +18,7 @@ from scse import (MCConfig, MonotoneTable, UnderlyingParams, build_tables,
 from scse.denoiser import _scores, default_sigma_span, section_stats, stream_moments
 from scse.ensemble import RATE_CAP, RATE_FLOOR
 
-from conftest import MC_TWO_CHUNKS, serial_untiled
+from conftest import MC_TWO_CHUNKS, SIGMA2, serial_untiled
 
 from oracles import (b2_entropy_quad, b2_mmse_quad, b2_posterior_weight_quad,
                      direct_softmax_denoiser, pav_brute_force)
@@ -274,6 +274,148 @@ def test_section_stats_concurrent_on_pool():
         sys.setswitchinterval(interval)
     for g, w in zip(got, want):
         _assert_same_stats(g, w)
+
+
+def _never_decided(mp):
+    mp.setattr(denoiser, "_decided_margin", lambda B: math.inf)
+
+
+def _assert_same_bits(got, want):
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key].dtype == want[key].dtype == np.float64
+        np.testing.assert_array_equal(got[key].view(np.int64), want[key].view(np.int64),
+                                      err_msg=key)
+
+
+def _full_tiles(monkeypatch):
+    """The z views that _scores gets, one per kernel tile that runs the full
+    passes; each starts at its tile's first row."""
+    tiles = []
+
+    def spy(z, sigma, B, out=None):
+        tiles.append(z)
+        return _scores(z, sigma, B, out=out)
+
+    monkeypatch.setattr(denoiser, "_scores", spy)
+    return tiles
+
+
+def _decided_rows(z, sigma, B):
+    """Rows whose off scores all sit at least _decided_margin(B) below u_1,
+    read off the full score matrix, with u_1 and the off max finite."""
+    u = _scores(z, sigma, B)
+    gap = u[:, 1:].max(axis=1) - u[:, 0]
+    return (gap <= -denoiser._decided_margin(B)) & (gap > -math.inf)
+
+
+@pytest.mark.parametrize("B", [2, 4, 16, 64])
+def test_decided_tiles_bit_identical(mc_layout, monkeypatch, B):
+    # a tile is skipped exactly when every row of it is decided, and the
+    # outputs match the full kernel's bit for bit.  The sweep runs across the
+    # table grid at snr 15, at the layout's kernel tile
+    z = gaussian_block(13, B, 0, 30_001)
+    start = z.ctypes.data
+    step = max(1, denoiser._KERNEL_TILE // (B + 2))
+    kinds = set()
+    for sigma in np.geomspace(*default_sigma_span(UnderlyingParams(B=B, R=1.0, sigma2=SIGMA2)), 24):
+        sigma = float(sigma)
+        rows = _decided_rows(z, sigma, B)
+        with pytest.MonkeyPatch.context() as mp:
+            full = _full_tiles(mp)
+            got = section_stats(z, sigma, B)
+        ran = {(v.ctypes.data - start) // 8 for v in full}
+        for a in range(0, z.shape[0], step):
+            decided = rows[a:a + step]
+            kinds.add("decided" if decided.all() else "mixed" if decided.any() else "undecided")
+            assert (a not in ran) == decided.all(), (sigma, a)
+        assert (got["mmse"][rows] == 0.0).all() and not np.signbit(got["mmse"][rows]).any()
+        with pytest.MonkeyPatch.context() as mp:
+            _never_decided(mp)
+            want = section_stats(z, sigma, B)
+        _assert_same_bits(got, want)
+    assert kinds == {"decided", "mixed", "undecided"}, kinds
+
+
+@pytest.mark.parametrize("B", [2, 16])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_decided_path_with_nonfinite_z(monkeypatch, B):
+    # at sigma 0.05 every finite row of this block is decided; one NaN or
+    # +inf anywhere, or -inf in the first column or in every other, sends the
+    # whole tile through the full passes, whose bits it keeps.  So does an
+    # overflow of u_1 = log2(B)/sigma^2 + ... to +inf at a tiny sigma
+    base = np.zeros((50, B), order="F")
+    cases = []
+    for value, cols in ((math.nan, {0, 1, B - 1}), (math.inf, {0, 1, B - 1}), (-math.inf, {0})):
+        for col in sorted(cols):
+            z = base.copy()
+            z[17, col] = value
+            cases.append((z, 0.05))
+    z = base.copy()
+    z[17, 1:] = -math.inf
+    cases += [(z, 0.05), (base, 1e-160)]
+    full = _full_tiles(monkeypatch)
+    section_stats(base, 0.05, B)
+    assert not full  # the finite block is decided
+    for z, sigma in cases:
+        full.clear()
+        got = section_stats(z, sigma, B)
+        assert len(full) == 1, (z[17], sigma)
+        with pytest.MonkeyPatch.context() as mp:
+            _never_decided(mp)
+            want = section_stats(z, sigma, B)
+        _assert_same_bits(got, want)
+    if B > 2:
+        # a -inf below a finite off max leaves the row decided: the full
+        # passes clip its shifted score to -300 and give the same exact zeros
+        z = base.copy()
+        z[17, 1] = -math.inf
+        full.clear()
+        got = section_stats(z, 0.05, B)
+        assert not full
+        with pytest.MonkeyPatch.context() as mp:
+            _never_decided(mp)
+            _assert_same_bits(got, section_stats(z, 0.05, B))
+
+
+def _rows_at_gap(B, gaps):
+    """A block with one row per gap, whose off scores all sit about gap
+    below u_1 at sigma = 1, and the gaps as the kernel forms them."""
+    lb = math.log2(B)
+    c = math.sqrt(lb)
+    z = np.zeros((len(gaps), B), order="F")
+    z[:, 1:] = ((lb - np.asarray(gaps)) / c)[:, None]
+    u = _scores(z, 1.0, B)
+    return z, u[:, 0] - u[:, 1:].max(axis=1)
+
+
+@pytest.mark.parametrize("B", [2, 1024])
+def test_decided_margin_is_safe_and_needed(monkeypatch, B):
+    # with all B - 1 off scores at the same gap g below u_1, the worst case
+    # for the two sums: from 53 ln 2 + ln(B - 1) up to the margin M the full
+    # kernel already gives exactly (+0.0, +0.0, 1.0), and at g = 30 it does
+    # not, so M is both safe and needed
+    lo, M = 53 * math.log(2) + math.log(B - 1), denoiser._decided_margin(B)
+    assert lo < M < lo + 2.0
+    inside = lo + (M - lo) * np.array([0.001, 0.25, 0.5, 0.75, 0.999])
+    z, gap = _rows_at_gap(B, inside)
+    assert ((gap > lo) & (gap < M)).all()
+    full = _full_tiles(monkeypatch)
+    st = section_stats(z, 1.0, B)
+    assert len(full) == 1  # below M: not decided, so the full passes ran
+    for key, want in (("mmse", 0.0), ("entropy", 0.0), ("f1", 1.0)):
+        assert (st[key] == want).all() and not np.signbit(st[key]).any(), key
+
+    z, gap = _rows_at_gap(B, [M + 0.5])
+    full.clear()
+    st = section_stats(z, 1.0, B)
+    assert not full and gap[0] >= M  # at M and above: decided, the same bits
+    assert (st["mmse"][0], st["entropy"][0], st["f1"][0]) == (0.0, 0.0, 1.0)
+
+    z, gap = _rows_at_gap(B, [30.0])
+    assert abs(gap[0] - 30.0) < 1e-9
+    st = section_stats(z, 1.0, B)
+    assert st["f1"][0] < 1.0 and st["entropy"][0] > 0.0
 
 
 def test_denoise_section_matches_direct_softmax():
