@@ -215,9 +215,8 @@ def cmd_thresholds(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     p = cfg.params()
-    tables = build_tables(p, cfg.mc(), n_points=cfg.n_points)
-    reports = run_suite(p, cfg.Gamma, cfg.w, cfg.design_fn(), cfg.mc(), tables,
-                        tol=cfg.tol)
+    reports = run_suite(p, cfg.Gamma, cfg.w, cfg.design_fn(), cfg.mc(),
+                        n_points=cfg.n_points, tol=cfg.tol)
     for rep in reports:
         tag = "SKIP" if rep.skipped else ("PASS" if rep.passed else "FAIL")
         print(f"{tag:4s} {rep.name}")

@@ -22,6 +22,17 @@ array whichever thread makes it, and the sums are added in stream order, so
 results are bit-identical for any worker count.  gaussian_block draws its
 row tiles on the same pool.
 
+Each estimator is a Plan: its stream_moments jobs plus a finish step that
+maps their (means, stderrs) to its result.  stream_plans runs several plans
+in one pass over the stream and keeps each job's sums apart, so every finish
+step gets its own jobs' statistics and `scse verify` draws each Gaussian row
+once for its tables and both identity checks; a statistic's chunk sums are
+the same whichever plans share the pass.  Per chunk, stream_moments also forms two row vectors of the
+block, max_{j>1} z_j and min_j z_j, and hands them to every job: they do not
+depend on Sigma, so section_stats reads them instead of reducing z's off
+columns again at every node, and uses the row minimum to skip its clip pass
+on tiles where the clip cannot change a score.
+
 section_stats allocates nothing per tile: each thread keeps one score buffer
 and two row vectors across tiles and calls, every pass writes in place or
 through out=, and the row results go straight into the outputs.  The
@@ -33,11 +44,11 @@ its trim threshold; a freed 1.5 MB block raises it at once.
 section_stats skips every kernel tile whose rows are decided: each off
 score sits so far below the transmitted one (_decided_margin) that the
 posterior is the transmitted index to machine precision, and the full passes
-would give exactly mmse = entropy = 0 and f1 = 1.  The test reads z's off
-columns once per tile and is exact, not statistical (see section_stats).  At
-the low-noise end of a table's grid, where the floor E0 and the pinned
-boundary blocks of the coupled chain sit, about two fifths of a table
-build's tile-rows are decided.
+would give exactly mmse = entropy = 0 and f1 = 1.  The test reads the
+chunk's row maxima over z's off columns and is exact, not statistical (see
+section_stats).  At the low-noise end of a table's grid, where the floor E0
+and the pinned boundary blocks of the coupled chain sit, about two fifths of
+a table build's tile-rows are decided.
 
 The inverse normal CDF is _ndtri, a numpy port of the Cephes ndtri (Cephes
 Math Library, Copyright 1984-2002 Stephen L. Moshier) as scipy 1.17 ships it
@@ -55,6 +66,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.random import Generator, Philox  # at import: numpy loads it lazily
@@ -300,7 +312,13 @@ def _decided_margin(B: int) -> float:
     return 53 * math.log(2) + math.log(B) + 1.0
 
 
-def section_stats(z: np.ndarray, sigma: float, B: int) -> dict:
+def _row_bounds(z: np.ndarray) -> tuple:
+    """(max_{j>1} z_j, min_j z_j) of every row of a block: section_stats'
+    bounds, which stream_moments forms once per chunk."""
+    return np.max(z[:, 1:], axis=1), np.min(z, axis=1)
+
+
+def section_stats(z: np.ndarray, sigma: float, B: int, bounds: tuple | None = None) -> dict:
     """Per-sample squared error, entropy summand and true-component weight.
 
     One exp pass over the shifted scores e = exp(u - max u) serves all three
@@ -316,6 +334,11 @@ def section_stats(z: np.ndarray, sigma: float, B: int) -> dict:
     allocates nothing.  numpy reduces a column-major tile across components
     one column at a time, so no row depends on the tiling.
 
+    bounds is the pair (max_{j>1} z_j, min_j z_j) of row vectors over all
+    of z, as stream_moments forms them once per chunk (_row_bounds).  They
+    do not depend on Sigma, so every node of a chunk shares them; a call
+    without them forms them from z first.
+
     Decided tiles skip the kernel.  A row is decided when u_1 and
     max_{j>1} u_j are finite and max_{j>1} u_j - u_1 <= -M, with
     M = _decided_margin(B).  Then max u = u_1 and sum e = sum e^2 = 1, so
@@ -324,7 +347,7 @@ def section_stats(z: np.ndarray, sigma: float, B: int) -> dict:
     sqrt(log2 B)/Sigma > 0 and rounding is monotone, so max_{j>1} fl(c z_j)
     = fl(c max_{j>1} z_j), and every shifted off score fl(u_j - u_1) is at
     most fl(fl(c max_{j>1} z_j) - u_1).  That bound is formed per row from
-    z's off columns.  When it is <= -M on every row of a tile, the tile's
+    the off maxima.  When it is <= -M on every row of a tile, the tile's
     outputs are written as (+0.0, +0.0, 1.0) and nothing else runs.  Any
     other tile runs the full passes, with max u = max(fl(c max_{j>1} z_j),
     u_1), the same value bit for bit as a row max over u.  At the low-noise
@@ -334,11 +357,21 @@ def section_stats(z: np.ndarray, sigma: float, B: int) -> dict:
     passes give that row the same exact zeros, as they clip its shifted
     score to -300.
 
+    The clip is skipped exactly when it cannot change a score.  By the same
+    monotonicity, with d > 0, every score of a tile is at least
+    fl(c min_j z_j) over its rows, and every row max at most the tile's
+    largest, so every shifted score is at least fl(fl(c min z) - max max u).
+    When that bound is > -300, clipping at -300 leaves every score as it
+    is.  A NaN or -inf bound runs the clip.
+
     z is left untouched.  The three outputs are the rows of one new (3, n)
     block, so they share memory with no other call's; a caller that keeps
     one of them keeps all three alive.
     """
     n = z.shape[0]
+    if bounds is None:
+        bounds = _row_bounds(z)
+    off_max, row_min = bounds
     sq, ent, f1 = np.empty((3, n))
     step = max(1, _KERNEL_TILE // (B + 2))
     scores, r1, r2 = _kernel_scratch(min(step, n), B)
@@ -350,8 +383,7 @@ def section_stats(z: np.ndarray, sigma: float, B: int) -> dict:
         zt = z[a:b]
         mx, tot = r1[:b - a], r2[:b - a]
         s, e, f = sq[a:b], ent[a:b], f1[a:b]
-        np.max(zt[:, 1:], axis=1, out=mx)
-        mx *= c  # max_{j>1} u_j
+        np.multiply(off_max[a:b], c, out=mx)  # max_{j>1} u_j
         np.multiply(zt[:, 0], c, out=tot)
         tot += d  # u_1
         np.subtract(mx, tot, out=s)
@@ -370,8 +402,9 @@ def section_stats(z: np.ndarray, sigma: float, B: int) -> dict:
         # exp(-300) < 1e-130 is lost against the largest term exp(0) = 1 in
         # every sum below, and 1 - f1 rounds to 1 either way; clipping only
         # keeps exp and the squares out of the slow underflow and subnormal
-        # range at small sigma
-        np.maximum(u, -300.0, out=u)
+        # range at small sigma, and is skipped when no score is below -300
+        if not c * float(row_min[a:b].min()) - float(mx.max()) > -300.0:
+            np.maximum(u, -300.0, out=u)
         np.exp(u, out=u)
         np.sum(u, axis=1, out=tot)
         np.divide(u[:, 0], tot, out=f)
@@ -412,40 +445,71 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of the threads
     os.register_at_fork(after_in_child=_executor.cache_clear)
 
 
-def _moments(job, z) -> list:
-    """(sum, sum of squares) of each per-sample array job(z) yields, reduced
-    as soon as it is yielded, so a job's arrays never pile up."""
-    return [(float(v.sum()), float((v * v).sum())) for v in job(z)]
+def _moments(job, z, bounds) -> list:
+    """(sum, sum of squares) of each per-sample array job(z, bounds) yields,
+    reduced as soon as it is yielded, so a job's arrays never pile up."""
+    return [(float(v.sum()), float((v * v).sum())) for v in job(z, bounds)]
+
+
+def _stream_sums(mc: MCConfig, B: int, jobs) -> list:
+    """Per job, an (m, 2) array of the (sum, sum of squares) over the stream
+    of each of the m per-sample arrays it yields (see stream_moments)."""
+    mapper = map if _WORKERS == 1 else _executor(_WORKERS).map
+    sums = [0.0] * len(jobs)
+    for a, b in _chunks(mc.n_samples):
+        z = gaussian_block(mc.seed, B, a, b)
+        bounds = _row_bounds(z)
+        reduced = list(mapper(functools.partial(_moments, z=z, bounds=bounds), jobs))
+        del z, bounds  # release this block before the next one is drawn
+        sums = [total + np.array(job).reshape(-1, 2) for total, job in zip(sums, reduced)]
+    return sums
+
+
+class Plan(NamedTuple):
+    """One Monte-Carlo estimator: stream_moments jobs, and finish(means,
+    stderrs) over the statistics they yield, in job order."""
+
+    jobs: list
+    finish: Callable
+
+
+def stream_plans(mc: MCConfig, B: int, plans) -> list:
+    """Finish every plan from one pass over the stream for all their jobs.
+
+    Each job's sums are kept apart, so every plan's finish step gets the
+    statistics of its own jobs, bit-identical to a pass over them alone,
+    while each Gaussian row is drawn once.
+    """
+    n = mc.n_samples
+    sums = iter(_stream_sums(mc, B, [job for plan in plans for job in plan.jobs]))
+    results = []
+    for plan in plans:
+        s, s2 = np.concatenate([next(sums) for _ in plan.jobs]).T
+        means = s / n
+        var = np.maximum(s2 / n - means * means, 0.0) / max(n - 1, 1)
+        results.append(plan.finish(means, np.sqrt(var)))
+    return results
 
 
 def stream_moments(mc: MCConfig, B: int, jobs) -> tuple:
     """Means and standard errors of per-sample statistics over the stream.
 
-    Each job maps a Gaussian block z of the (seed, n_samples) stream to an
-    iterable of per-sample arrays, always the same number in the same order;
-    the statistics are the jobs' arrays in job order.  The jobs of one chunk
-    run concurrently; each statistic sums its chunks in stream order, so the
-    result depends neither on the chunking nor on the worker count.  The
-    pool is made on first use, not at import.
+    Each job maps a Gaussian block z of the (seed, n_samples) stream and its
+    row bounds to an iterable of per-sample arrays, always the same number
+    in the same order; the statistics are the jobs' arrays in job order.
+    The bounds, (max_{j>1} z_j, min_j z_j) per row (_row_bounds), are formed
+    once per chunk for every job to pass to section_stats.  The jobs of one
+    chunk run concurrently; each statistic sums its chunks in stream order,
+    so the result depends neither on the chunking nor on the worker count.
+    The pool is made on first use, not at import.
     """
-    n = mc.n_samples
-    mapper = map if _WORKERS == 1 else _executor(_WORKERS).map
-    sums = sumsq = 0.0
-    for a, b in _chunks(n):
-        z = gaussian_block(mc.seed, B, a, b)
-        reduced = list(mapper(functools.partial(_moments, z=z), jobs))
-        del z  # release this block before the next one is drawn
-        s, s2 = np.array([pair for job in reduced for pair in job]).T
-        sums, sumsq = sums + s, sumsq + s2
-    means = sums / n
-    var = np.maximum(sumsq / n - means * means, 0.0) / max(n - 1, 1)
-    return means, np.sqrt(var)
+    return stream_plans(mc, B, [Plan(jobs, lambda means, stderrs: (means, stderrs))])[0]
 
 
 def _mc_mean(params: UnderlyingParams, sigma: float, mc: MCConfig, which: str,
              clamp: tuple) -> Estimate:
     means, stderrs = stream_moments(
-        mc, params.B, [lambda z: [section_stats(z, sigma, params.B)[which]]])
+        mc, params.B, [lambda z, bounds: [section_stats(z, sigma, params.B, bounds)[which]]])
     return Estimate(value=float(min(max(means[0], clamp[0]), clamp[1])),
                     stderr=float(stderrs[0]), n=mc.n_samples)
 
@@ -525,34 +589,40 @@ def default_sigma_span(params: UnderlyingParams) -> tuple:
             math.sqrt(RATE_CAP * C * (params.sigma2 + 1.0)))
 
 
-def build_tables(params: UnderlyingParams, mc: MCConfig, n_points: int = 256) -> tuple:
-    """Build the mmse and entropy tables in one pass over the sample stream.
-
-    stream_moments gets one job per grid node, so each node's mmse and
-    entropy are statistics 2k and 2k+1.  Common random numbers: every node
-    sees the same z rows, so adjacent-node differences are far less noisy
-    than independent estimates, and downstream bisections in R or E see
-    smooth curves.  The tables ignore params.R.
-    """
+def table_plan(params: UnderlyingParams, mc: MCConfig, n_points: int = 256) -> Plan:
+    """build_tables as a Plan: one job per grid node, whose mmse and entropy
+    are statistics 2k and 2k+1, finished into the (mmse, entropy) pair."""
     if n_points < 16:
         raise ValueError("n_points must be at least 16")
     grid = np.geomspace(*default_sigma_span(params), n_points)
     keys = ("mmse", "entropy")
 
-    def node(z, sigma):
-        st = section_stats(z, sigma, params.B)
+    def node(z, bounds, sigma):
+        st = section_stats(z, sigma, params.B, bounds)
         return [st[key] for key in keys]
 
-    means, stderrs = stream_moments(mc, params.B, [
-        functools.partial(node, sigma=float(s)) for s in grid])
-    tables = []
-    for j, (key, top) in enumerate(zip(keys, (1.0 - 1.0 / params.B, 1.0))):
-        node_stderrs = stderrs[j::2]
-        values = np.clip(isotonic_increasing(means[j::2]), 0.0, top)
-        gaps = np.abs(np.diff(values))
-        coarse = gaps > 10.0 * np.maximum(node_stderrs[:-1], node_stderrs[1:])
-        meta = {"B": params.B, "sigma2": params.sigma2,
-                "seed": mc.seed, "n_samples": mc.n_samples, "kind": key}
-        tables.append(MonotoneTable(sigma_grid=grid, values=values, stderrs=node_stderrs,
-                                    lo_value=0.0, hi_value=top, coarse=coarse, meta=meta))
-    return tables[0], tables[1]
+    def finish(means, stderrs):
+        tables = []
+        for j, (key, top) in enumerate(zip(keys, (1.0 - 1.0 / params.B, 1.0))):
+            node_stderrs = stderrs[j::2]
+            values = np.clip(isotonic_increasing(means[j::2]), 0.0, top)
+            gaps = np.abs(np.diff(values))
+            coarse = gaps > 10.0 * np.maximum(node_stderrs[:-1], node_stderrs[1:])
+            meta = {"B": params.B, "sigma2": params.sigma2,
+                    "seed": mc.seed, "n_samples": mc.n_samples, "kind": key}
+            tables.append(MonotoneTable(sigma_grid=grid, values=values, stderrs=node_stderrs,
+                                        lo_value=0.0, hi_value=top, coarse=coarse, meta=meta))
+        return tables[0], tables[1]
+
+    return Plan([functools.partial(node, sigma=float(s)) for s in grid], finish)
+
+
+def build_tables(params: UnderlyingParams, mc: MCConfig, n_points: int = 256) -> tuple:
+    """Build the mmse and entropy tables in one pass over the sample stream.
+
+    stream_moments gets one job per grid node (table_plan).  Common random
+    numbers: every node sees the same z rows, so adjacent-node differences
+    are far less noisy than independent estimates, and downstream bisections
+    in R or E see smooth curves.  The tables ignore params.R.
+    """
+    return stream_plans(mc, params.B, [table_plan(params, mc, n_points)])[0]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoiser import MCConfig, section_stats, stream_moments
+from .denoiser import MCConfig, Plan, section_stats, stream_plans, table_plan
 from .ensemble import (CoupledParams, CouplingMatrix, DesignFunction,
                        UnderlyingParams, build_coupling_matrix)
 from .potential import (free_energy_gap, potential_coupled,
@@ -200,6 +200,31 @@ def theorem1_experiment(params: UnderlyingParams, R: float, Gamma: int, w: int,
                         "min_decoding_w": min_w, "iterations": run.iterations})
 
 
+def _nishimori_plan(params: UnderlyingParams, mc: MCConfig, E_grid=None) -> Plan:
+    """nishimori_report's jobs, one statistic per grid point, and its verdict."""
+    if E_grid is None:
+        E_grid = np.linspace(0.0, 1.0, 16)
+    sigs = [sigma_underlying(float(E), params) for E in E_grid]
+
+    def point(z, bounds, sig):
+        st = section_stats(z, sig, params.B, bounds)
+        yield st["mmse"] - (1.0 - st["f1"])
+
+    def finish(means, stderrs):
+        n = mc.n_samples
+        L = math.log(4.0 * len(sigs) / NISHIMORI_DELTA)
+        worst = 0.0
+        details = []
+        for E, mean, stderr in zip(E_grid, means.tolist(), stderrs.tolist()):
+            var = n * stderr * stderr  # unbiased sample variance
+            bound = math.sqrt(2.0 * var * L / n) + 7.0 * 1.25 * L / (3.0 * max(n - 1, 1))
+            worst = max(worst, abs(mean) / bound)
+            details.append({"E": float(E), "diff": mean, "stderr": stderr, "bound": bound})
+        return LemmaReport("nishimori", worst <= 1.0, worst, 1.0, 0.0, {"points": details})
+
+    return Plan([functools.partial(point, sig=sig) for sig in sigs], finish)
+
+
 def nishimori_report(params: UnderlyingParams, mc: MCConfig,
                      E_grid=None) -> LemmaReport:
     """MMSE equals one minus the mean true-component weight, same samples.
@@ -213,26 +238,53 @@ def nishimori_report(params: UnderlyingParams, mc: MCConfig,
     d is nonzero only on rare samples.  measured is the worst |diff|/bound,
     bound is 1.
     """
-    if E_grid is None:
-        E_grid = np.linspace(0.0, 1.0, 16)
-    sigs = [sigma_underlying(float(E), params) for E in E_grid]
+    return stream_plans(mc, params.B, [_nishimori_plan(params, mc, E_grid)])[0]
 
-    def point(z, sig):
-        st = section_stats(z, sig, params.B)
-        yield st["mmse"] - (1.0 - st["f1"])
 
-    means, stderrs = stream_moments(
-        mc, params.B, [functools.partial(point, sig=sig) for sig in sigs])
-    n = mc.n_samples
-    L = math.log(4.0 * len(sigs) / NISHIMORI_DELTA)
-    worst = 0.0
-    details = []
-    for E, mean, stderr in zip(E_grid, means.tolist(), stderrs.tolist()):
-        var = n * stderr * stderr  # unbiased sample variance
-        bound = math.sqrt(2.0 * var * L / n) + 7.0 * 1.25 * L / (3.0 * max(n - 1, 1))
-        worst = max(worst, abs(mean) / bound)
-        details.append({"E": float(E), "diff": mean, "stderr": stderr, "bound": bound})
-    return LemmaReport("nishimori", worst <= 1.0, worst, 1.0, 0.0, {"points": details})
+def _i_mmse_plan(params: UnderlyingParams, sigma_grid=None, h: float = 1e-3,
+                 coefficient: float | None = None) -> Plan:
+    """i_mmse_report's jobs, three statistics per sigma, and its verdict."""
+    if sigma_grid is None:
+        sigma_grid = np.geomspace(0.4, 2.5, 8)
+    if coefficient is None:
+        coefficient = params.log2B / (2.0 * LN2)
+    lb = params.log2B
+    points = []
+    for sig in sigma_grid:
+        gamma = 1.0 / (sig * sig)
+        points.append((float(sig), {k: (gamma + x) ** -0.5 for k, x in
+                                    (("p", h), ("m", -h), ("p2", h / 2), ("m2", -h / 2))}))
+
+    def point(z, bounds, sig, sigs):
+        # three statistics per point: D = slope + c*mmse, and the slope at
+        # steps h and h/2.  A kernel call's outputs are one block, so the
+        # first entropy of each difference is copied out before the second
+        # call runs and one call's block is alive at a time.
+        def ent_diff(up, down):
+            d = section_stats(z, sigs[up], params.B, bounds)["entropy"].copy()
+            d -= section_stats(z, sigs[down], params.B, bounds)["entropy"]
+            return d
+
+        slope_h = lb * ent_diff("p", "m") / (2.0 * h)
+        yield slope_h + coefficient * section_stats(z, sig, params.B, bounds)["mmse"]
+        yield slope_h
+        yield lb * ent_diff("p2", "m2") / h
+
+    def finish(means, stderrs):
+        details = []
+        passed = True
+        for i, (sig, _) in enumerate(points):
+            mean_D, stderr_D = float(means[3 * i]), float(stderrs[3 * i])
+            disc = (4.0 / 3.0) * abs(float(means[3 * i + 1] - means[3 * i + 2]))
+            ok = abs(mean_D) <= 3.0 * stderr_D + disc
+            passed = passed and ok
+            details.append({"sigma": sig, "slope_plus_c_mmse": mean_D,
+                            "stderr": stderr_D, "discretization": disc, "pass": ok})
+        worst = max(abs(d["slope_plus_c_mmse"]) - d["discretization"] for d in details)
+        return LemmaReport("i_mmse", passed, worst, "3*stderr+h^2 allowance", 0.0,
+                           {"coefficient": coefficient, "points": details})
+
+    return Plan([functools.partial(point, sig=sig, sigs=sigs) for sig, sigs in points], finish)
 
 
 def i_mmse_report(params: UnderlyingParams, mc: MCConfig, sigma_grid=None,
@@ -245,54 +297,24 @@ def i_mmse_report(params: UnderlyingParams, mc: MCConfig, sigma_grid=None,
     coefficient to test other claimed constants.  Uses common random numbers
     and a Richardson estimate of the h^2 discretization error.
     """
-    if sigma_grid is None:
-        sigma_grid = np.geomspace(0.4, 2.5, 8)
-    if coefficient is None:
-        coefficient = params.log2B / (2.0 * LN2)
-    lb = params.log2B
-    points = []
-    for sig in sigma_grid:
-        gamma = 1.0 / (sig * sig)
-        points.append((float(sig), {k: (gamma + x) ** -0.5 for k, x in
-                                    (("p", h), ("m", -h), ("p2", h / 2), ("m2", -h / 2))}))
-
-    def point(z, sig, sigs):
-        # three statistics per point: D = slope + c*mmse, and the slope at
-        # steps h and h/2.  A kernel call's outputs are one block, so the
-        # first entropy of each difference is copied out before the second
-        # call runs and one call's block is alive at a time.
-        def ent_diff(up, down):
-            d = section_stats(z, sigs[up], params.B)["entropy"].copy()
-            d -= section_stats(z, sigs[down], params.B)["entropy"]
-            return d
-
-        slope_h = lb * ent_diff("p", "m") / (2.0 * h)
-        yield slope_h + coefficient * section_stats(z, sig, params.B)["mmse"]
-        yield slope_h
-        yield lb * ent_diff("p2", "m2") / h
-
-    means, stderrs = stream_moments(mc, params.B, [
-        functools.partial(point, sig=sig, sigs=sigs) for sig, sigs in points])
-    details = []
-    passed = True
-    for i, (sig, _) in enumerate(points):
-        mean_D, stderr_D = float(means[3 * i]), float(stderrs[3 * i])
-        disc = (4.0 / 3.0) * abs(float(means[3 * i + 1] - means[3 * i + 2]))
-        ok = abs(mean_D) <= 3.0 * stderr_D + disc
-        passed = passed and ok
-        details.append({"sigma": sig, "slope_plus_c_mmse": mean_D,
-                        "stderr": stderr_D, "discretization": disc, "pass": ok})
-    worst = max(abs(d["slope_plus_c_mmse"]) - d["discretization"] for d in details)
-    return LemmaReport("i_mmse", passed, worst, "3*stderr+h^2 allowance", 0.0,
-                       {"coefficient": coefficient, "points": details})
+    plan = _i_mmse_plan(params, sigma_grid, h, coefficient)
+    return stream_plans(mc, params.B, [plan])[0]
 
 
 def run_suite(params: UnderlyingParams, Gamma: int, w: int,
-              design: DesignFunction, mc: MCConfig, tables,
+              design: DesignFunction, mc: MCConfig, n_points: int = 256,
               tol: float = DEFAULT_TOL, max_iters: int = 20_000) -> list:
-    """The full battery at one parameter point; R comes from params."""
+    """The full battery at one parameter point; R comes from params.
+
+    The mmse/entropy tables (n_points nodes) and the Nishimori and I-MMSE
+    checks are means over the same seeded Gaussian stream, so one
+    stream_plans pass draws it once for all three; each result is
+    bit-identical to build_tables, nishimori_report and i_mmse_report run
+    on their own.  The other checks read the tables.
+    """
+    tables, *reports = stream_plans(mc, params.B, [
+        table_plan(params, mc, n_points), _nishimori_plan(params, mc), _i_mmse_plan(params)])
     mmse_table, _ = tables
-    reports = [nishimori_report(params, mc), i_mmse_report(params, mc)]
     J, run, sat = _stalled_saturation(params, Gamma, w, design, mmse_table, tol, max_iters)
     reports.append(verify_smoothness(sat, design, w))
     reports.append(verify_telescoping(sat, J, params, tables))

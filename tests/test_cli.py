@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from scse import (CoupledParams, ErrorProfile, MCConfig, UnderlyingParams,
-                  build_coupling_matrix, build_tables, capacity, iterate_coupled,
-                  iterate_underlying, ones_profile, pinned_rows, rectangular_design,
-                  se_step_coupled, se_step_underlying)
+                  build_coupling_matrix, build_tables, capacity, gaussian_block,
+                  iterate_coupled, iterate_underlying, ones_profile, pinned_rows,
+                  rectangular_design, se_step_coupled, se_step_underlying)
 from scse.cli import main
 
 FAST = ["--samples", "4000", "--n-points", "32"]
@@ -118,6 +118,22 @@ def test_verify_passes_at_default_rate(tmp_path, capsys):
                      "theorem1_decoding"]
     assert all(r["pass"] for r in report["reports"])
     assert report["config"]["B"] == 2 and report["config"]["seed"] == 0
+
+
+def test_verify_draws_each_gaussian_row_once(tmp_path, monkeypatch, counted_builds):
+    # the tables and both identity checks share one pass over the stream:
+    # a chunk and a tail, each drawn once
+    from scse import denoiser
+    drawn = []
+
+    def counting(seed, B, start, stop):
+        drawn.append(stop - start)
+        return gaussian_block(seed, B, start, stop)
+
+    monkeypatch.setattr(denoiser, "gaussian_block", counting)
+    assert _run(tmp_path, "verify", "--B", "2", "--samples", "70001", "--n-points", "32") == 0
+    assert sum(drawn) == 70_001 and len(drawn) == 2
+    assert counted_builds == []
 
 
 def test_verify_fails_in_stall_regime(tmp_path, capsys):

@@ -418,6 +418,90 @@ def test_decided_margin_is_safe_and_needed(monkeypatch, B):
     assert st["f1"][0] < 1.0 and st["entropy"][0] > 0.0
 
 
+_BOUNDS_TILE = 333  # kernel tile rows in the row-bounds sweep; 3000 rows end on a 3-row tile
+
+
+def _bounds_block(B):
+    """Gaussian rows with special rows in tiles 1, 3, 5, 7 and 8 of the
+    sweep's kernel tiles; tiles 0, 2, 4, 6 and 9 hold Gaussian rows only.
+
+    Tile 7 holds a row with u_1 far below an off max of 0 and tile 8 one
+    with u_1 far below an off max of 1000 c, every other score as far.  At
+    sigma = 1 their shifted transmitted scores are below -300, so the clip
+    sets f1 = e^-300 / sum e, which a kernel without the clip misses.
+    """
+    z = gaussian_block(17, B, 0, 3000)
+    t = _BOUNDS_TILE
+    z[t + 17, B - 1] = math.nan
+    z[3 * t + 5, 0] = math.inf
+    z[3 * t + 40, 1] = -math.inf
+    z[5 * t + 9, 0] = -math.inf
+    z[7 * t + 3] = 0.0
+    z[7 * t + 3, 0] = -1000.0
+    z[8 * t + 4] = -1000.0
+    z[8 * t + 4, 1] = 1000.0
+    return z
+
+
+def _clip_skipped(zt, sigma, B):
+    """Whether section_stats may skip the clip on this tile: the lowest
+    score fl(c min z) minus the largest row max is above -300."""
+    c, d = denoiser._score_scales(sigma, B)
+    with np.errstate(invalid="ignore"):
+        row_max = np.maximum(c * zt[:, 1:].max(axis=1), c * zt[:, 0] + d)
+        return bool(c * float(zt.min()) - float(row_max.max()) > -300.0)
+
+
+@pytest.mark.parametrize("B", [2, 4, 16, 32, 64])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_chunk_row_bounds_bit_identical(monkeypatch, B):
+    # section_stats with the chunk's row bounds against bounds=None and
+    # against an always-clip reference (row minima of -inf, so no tile skips
+    # the clip), across the table grid, at a tiny sigma and at sigma = 1, on
+    # a block holding NaN, +inf and -inf and rows the clip moves
+    monkeypatch.setattr(denoiser, "_KERNEL_TILE", _BOUNDS_TILE * (B + 2))
+    z = _bounds_block(B)
+    bounds = denoiser._row_bounds(z)
+    always_clip = (bounds[0], np.full(len(z), -np.inf))
+    before = z.copy()
+    start = z.ctypes.data
+    span = default_sigma_span(UnderlyingParams(B=B, R=1.0, sigma2=SIGMA2))
+    kinds = set()
+    for sigma in [float(s) for s in np.geomspace(*span, 24)] + [1e-3, 1.0]:
+        with pytest.MonkeyPatch.context() as mp:
+            full = _full_tiles(mp)
+            got = section_stats(z, sigma, B, bounds)
+        _assert_same_bits(got, section_stats(z, sigma, B))
+        _assert_same_bits(got, section_stats(z, sigma, B, always_clip))
+        for a in sorted({(v.ctypes.data - start) // 8 for v in full}):
+            zt = z[a:a + _BOUNDS_TILE]
+            kinds.add("skipped" if _clip_skipped(zt, sigma, B) else "clipped")
+    np.testing.assert_array_equal(z, before)
+    assert kinds == {"skipped", "clipped"}, kinds
+
+    st = section_stats(z, 1.0, B, bounds)
+    t = _BOUNDS_TILE
+    assert st["f1"][7 * t + 3] == pytest.approx(math.exp(-300.0) / (B - 1), rel=1e-14, abs=0.0)
+    assert st["f1"][8 * t + 4] == pytest.approx(math.exp(-300.0), rel=1e-14, abs=0.0)
+    unclipped = _unclipped_stats(z[[7 * t + 3, 8 * t + 4]], 1.0, B)["f1"]
+    assert (unclipped < 1e-300).all()  # the clip is what sets these f1
+
+
+def test_stream_plans_hands_each_plan_its_own_jobs():
+    # plans of one, two and three statistics per job share one pass; each
+    # finish step gets exactly a stream_moments pass over its own jobs
+    mc = MCConfig(seed=0, n_samples=100)
+    jobs = [[lambda z, bounds: [z[:, 0]]],
+            [lambda z, bounds: [z[:, 1], bounds[0]], lambda z, bounds: [bounds[1]]],
+            [lambda z, bounds: [z[:, 0] * z[:, 1], z[:, 1], z[:, 0]]]]
+    got = denoiser.stream_plans(mc, 2, [denoiser.Plan(j, lambda m, s: (m, s)) for j in jobs])
+    for (means, stderrs), own in zip(got, jobs):
+        want_means, want_stderrs = stream_moments(mc, 2, own)
+        np.testing.assert_array_equal(means, want_means)
+        np.testing.assert_array_equal(stderrs, want_stderrs)
+    assert [len(m) for m, _ in got] == [1, 3, 3]
+
+
 def test_denoise_section_matches_direct_softmax():
     z = np.array([0.3, -0.2])
     f = denoise_section(z, 1.0, 2)
@@ -589,8 +673,8 @@ def test_common_random_numbers_smooth_differences(params_b2, mc_small, tables_b2
     g = mmse_t.sigma_grid
     k = int(np.argmin(np.abs(g - 1.0)))
 
-    def difference(z):
-        lo, hi = (section_stats(z, float(s), params_b2.B)["mmse"] for s in g[k:k + 2])
+    def difference(z, bounds):
+        lo, hi = (section_stats(z, float(s), params_b2.B, bounds)["mmse"] for s in g[k:k + 2])
         return [hi - lo]
 
     _, (diff_stderr,) = stream_moments(mc_small, params_b2.B, [difference])
@@ -637,9 +721,9 @@ def test_build_tables_one_kernel_call_per_node(monkeypatch):
     # each chunk's jobs evaluate every grid node once, whatever the workers
     calls = []
 
-    def counting(z, sigma, B):
+    def counting(z, sigma, B, bounds=None):
         calls.append(sigma)
-        return section_stats(z, sigma, B)
+        return section_stats(z, sigma, B, bounds)
 
     monkeypatch.setattr(denoiser, "_WORKERS", 2)
     monkeypatch.setattr(denoiser, "section_stats", counting)

@@ -160,9 +160,8 @@ def test_shift_potential_scaling_mixed_regime_fails(params_b4, mc_small):
     assert rep.context["reason"] == "stall regime not uniform in w"
 
 
-def test_run_suite_names_and_pass(params_b2, tables_b2, mc_small):
-    reports = run_suite(params_b2, 32, 2, rectangular_design(), mc_small,
-                        tables_b2)
+def test_run_suite_names_and_pass(params_b2, mc_small):
+    reports = run_suite(params_b2, 32, 2, rectangular_design(), mc_small, n_points=96)
     names = [r.name for r in reports]
     assert names == ["nishimori", "i_mmse", "smoothness", "telescoping",
                      "basin_exclusion", "shift_potential_scaling",
@@ -185,8 +184,8 @@ def test_nishimori_catches_planted_sign_error(params_b4, monkeypatch):
     import scse.verification as verification
     real = verification.section_stats
 
-    def flipped(z, sigma, B):
-        st = real(z, sigma, B)
+    def flipped(z, sigma, B, bounds=None):
+        st = real(z, sigma, B, bounds)
         st["mmse"] = st["mmse"] + 4.0 * st["f1"]  # sign error on the -2 f1 term
         return st
 
@@ -207,6 +206,34 @@ def serial_untiled_reports():
 def test_reports_independent_of_workers_and_tiles(mc_layout, serial_untiled_reports):
     got = nishimori_report(B16, MC_TWO_CHUNKS), i_mmse_report(B16, MC_TWO_CHUNKS)
     assert [r.to_dict() for r in got] == [r.to_dict() for r in serial_untiled_reports]
+
+
+@pytest.fixture(scope="module")
+def serial_untiled_tables():
+    with serial_untiled():
+        return build_tables(B16, MC_TWO_CHUNKS, n_points=32)
+
+
+def test_run_suite_shares_one_pass(mc_layout, monkeypatch, serial_untiled_tables,
+                                   serial_untiled_reports):
+    # the tables and both identity checks come from one pass over the stream,
+    # bit for bit what separate build_tables, nishimori_report and
+    # i_mmse_report calls give; the tables are read off theorem1_experiment
+    import scse.verification as verification
+    seen = []
+
+    def spying(params, R, Gamma, w, tables, *args, **kwargs):
+        seen.append(tables)
+        return theorem1_experiment(params, R, Gamma, w, tables, *args, **kwargs)
+
+    monkeypatch.setattr(verification, "theorem1_experiment", spying)
+    reports = run_suite(B16, 32, 2, rectangular_design(), MC_TWO_CHUNKS, n_points=32)
+    assert [r.to_dict() for r in reports[:2]] == [r.to_dict() for r in serial_untiled_reports]
+    (tables,) = seen
+    for got, want in zip(tables, serial_untiled_tables):
+        for name in ("sigma_grid", "values", "stderrs", "coarse"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.meta == want.meta
 
 
 @pytest.mark.parametrize("workers", [1, 2])
