@@ -22,13 +22,16 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .denoiser import MCConfig, build_tables, default_n_samples
-from .ensemble import (RATE_CAP, CoupledParams, UnderlyingParams, atomic_write,
-                       build_coupling_matrix, capacity, make_design)
+from .denoiser import DEFAULT_N_POINTS, MCConfig, build_tables, default_n_samples
+from .ensemble import (DESIGN_KINDS, RATE_CAP, CoupledParams, UnderlyingParams,
+                       atomic_write, build_coupling_matrix, capacity,
+                       make_design)
 from .potential import free_energy_gap, potential_curve, potential_large_B
-from .state_evolution import iterate_coupled, iterate_underlying, ones_profile
-from .thresholds import (ThresholdSearchError, amp_threshold_coupled,
-                         amp_threshold_underlying, potential_threshold)
+from .state_evolution import (DEFAULT_MAX_ITERS, DEFAULT_TOL, iterate_coupled,
+                              iterate_underlying, ones_profile)
+from .thresholds import (DEFAULT_TOL_R, ThresholdSearchError,
+                         amp_threshold_coupled, amp_threshold_underlying,
+                         potential_threshold)
 from .verification import run_suite
 
 
@@ -43,10 +46,10 @@ class RunConfig:
     design_param: float | None = None
     seed: int = 0
     samples: int | None = None      # None = section-size dependent default
-    tol: float = 1e-8
-    tol_R: float = 2e-3
-    n_points: int = 256
-    max_iters: int = 10_000
+    tol: float = DEFAULT_TOL
+    tol_R: float = DEFAULT_TOL_R
+    n_points: int = DEFAULT_N_POINTS
+    max_iters: int = DEFAULT_MAX_ITERS
     outdir: str = "."
 
     def __post_init__(self):
@@ -84,22 +87,8 @@ class RunConfig:
         return asdict(self)
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if hasattr(obj, "to_dict"):
-        return obj.to_dict()
-    if hasattr(obj, "__dataclass_fields__"):
-        return asdict(obj)
-    raise TypeError(f"not JSON-serializable: {type(obj)!r}")
-
-
 def _write_json(path: str, payload) -> None:
-    atomic_write(path, [json.dumps(payload, indent=2, default=_jsonable) + "\n"])
+    atomic_write(path, [json.dumps(payload, indent=2) + "\n"])
 
 
 def _write_csv(path: str, cfg: RunConfig, header: str, rows) -> None:
@@ -216,7 +205,7 @@ def cmd_thresholds(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     p = cfg.params()
     reports = run_suite(p, cfg.Gamma, cfg.w, cfg.design_fn(), cfg.mc(),
-                        n_points=cfg.n_points, tol=cfg.tol)
+                        n_points=cfg.n_points, tol=cfg.tol, max_iters=cfg.max_iters)
     for rep in reports:
         tag = "SKIP" if rep.skipped else ("PASS" if rep.passed else "FAIL")
         print(f"{tag:4s} {rep.name}")
@@ -267,7 +256,7 @@ def _common_parser() -> argparse.ArgumentParser:
     for dest, (flag, typ) in _FLAGS.items():
         kwargs = {"dest": dest, "type": typ, "default": None}
         if dest == "design":
-            kwargs["choices"] = ["rectangular", "triangular", "asymmetric-exponential"]
+            kwargs["choices"] = DESIGN_KINDS
             del kwargs["type"]
         parent.add_argument(flag, **kwargs)
     return parent

@@ -73,6 +73,7 @@ from numpy.random import Generator, Philox  # at import: numpy loads it lazily
 
 from .ensemble import RATE_CAP, RATE_FLOOR, UnderlyingParams, atomic_write, capacity
 
+DEFAULT_N_POINTS = 256  # nodes of a lookup table's Sigma grid
 _CHUNK = 65536  # fixed so accumulation order never depends on n_samples
 # elements per row tile of the sampling loop (4096 rows at B=16): 512 KB of
 # uniform words, so each tile's ndtri passes and temporaries stay small
@@ -589,7 +590,8 @@ def default_sigma_span(params: UnderlyingParams) -> tuple:
             math.sqrt(RATE_CAP * C * (params.sigma2 + 1.0)))
 
 
-def table_plan(params: UnderlyingParams, mc: MCConfig, n_points: int = 256) -> Plan:
+def table_plan(params: UnderlyingParams, mc: MCConfig,
+               n_points: int = DEFAULT_N_POINTS) -> Plan:
     """build_tables as a Plan: one job per grid node, whose mmse and entropy
     are statistics 2k and 2k+1, finished into the (mmse, entropy) pair."""
     if n_points < 16:
@@ -617,7 +619,8 @@ def table_plan(params: UnderlyingParams, mc: MCConfig, n_points: int = 256) -> P
     return Plan([functools.partial(node, sigma=float(s)) for s in grid], finish)
 
 
-def build_tables(params: UnderlyingParams, mc: MCConfig, n_points: int = 256) -> tuple:
+def build_tables(params: UnderlyingParams, mc: MCConfig,
+                 n_points: int = DEFAULT_N_POINTS) -> tuple:
     """Build the mmse and entropy tables in one pass over the sample stream.
 
     stream_moments gets one job per grid node (table_plan).  Common random

@@ -177,10 +177,6 @@ class CoupledParams:
             raise ValueError(
                 f"need Gamma > 8w for the pinned construction, got Gamma={self.Gamma}, w={self.w}")
 
-    @property
-    def R_eff(self) -> float:
-        return effective_rate(self)
-
 
 def effective_rate(params: CoupledParams) -> float:
     """Rate after the 8w pinned boundary blocks are paid for."""
@@ -211,7 +207,6 @@ class CouplingMatrix:
     gamma: np.ndarray
     Gamma: int
     w: int
-    design_kind: str
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """J @ x."""
@@ -221,27 +216,17 @@ class CouplingMatrix:
         """J.T @ y."""
         return np.convolve(self.gamma * y, self.taps[::-1], "same")
 
-    def _rows(self):
-        """The rows of the dense J, one array at a time."""
-        for r in range(self.Gamma):
-            yield self.gamma[r] * _band_row(self.taps, self.Gamma, r)
-
     @property
     def J(self) -> np.ndarray:
         """The dense Gamma x Gamma matrix, assembled on each access."""
         J = np.empty((self.Gamma, self.Gamma))
-        for r, row in enumerate(self._rows()):
-            J[r] = row
+        for r in range(self.Gamma):
+            J[r] = self.gamma[r] * _band_row(self.taps, self.Gamma, r)
         return J
 
     def interior_columns(self) -> np.ndarray:
         """0-based indices of the variance-symmetric columns."""
         return np.arange(2 * self.w, self.Gamma - 2 * self.w)
-
-    def to_csv(self, path) -> None:
-        header = f"# J matrix Gamma={self.Gamma} w={self.w} design={self.design_kind}\n"
-        rows = (",".join(repr(float(v)) for v in row) + "\n" for row in self._rows())
-        atomic_write(path, itertools.chain([header], rows))
 
 
 def build_coupling_matrix(params: CoupledParams) -> CouplingMatrix:
@@ -257,5 +242,4 @@ def build_coupling_matrix(params: CoupledParams) -> CouplingMatrix:
     gamma = np.ones(Gamma)
     for r in itertools.chain(range(w), range(Gamma - w, Gamma)):
         gamma[r] = Gamma / _band_row(taps, Gamma, r).sum()
-    return CouplingMatrix(taps=taps, gamma=gamma, Gamma=Gamma, w=w,
-                          design_kind=params.design.kind)
+    return CouplingMatrix(taps=taps, gamma=gamma, Gamma=Gamma, w=w)

@@ -22,6 +22,7 @@ from .state_evolution import (DEFAULT_TOL, ErrorProfile, _basin_boundary,
                               sigma_underlying)
 
 LN2 = math.log(2.0)
+GAP_GRID_SIZE = 512  # free_energy_gap's coarse grid over [basin_sup, 1]
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ def potential_curve(params: UnderlyingParams, entropy_table: MonotoneTable,
     return PotentialCurve(E_grid=E, F_values=U - S, U_values=U, S_values=S, stderrs=err)
 
 
-def free_energy_gap(params: UnderlyingParams, tables, grid_size: int = 512,
+def free_energy_gap(params: UnderlyingParams, tables,
                     tol: float = DEFAULT_TOL) -> GapReport:
     """Infimum of F(E) - F(floor) over starts the floor does not attract.
 
@@ -81,12 +82,12 @@ def free_energy_gap(params: UnderlyingParams, tables, grid_size: int = 512,
     def F(E):
         return potential_underlying(float(E), params, entropy_table)
 
-    grid = np.linspace(Ebar, 1.0, grid_size)
+    grid = np.linspace(Ebar, 1.0, GAP_GRID_SIZE)
     U = np.array([potential_energy_underlying(float(e), params) for e in grid])
     vals = U - entropy_table(np.sqrt(params.R * (params.sigma2 + grid)))
     k = int(np.argmin(vals))
     lo = float(grid[max(k - 1, 0)])
-    hi = float(grid[min(k + 1, grid_size - 1)])
+    hi = float(grid[min(k + 1, GAP_GRID_SIZE - 1)])
     best_E, best_F = float(grid[k]), float(vals[k])
     if hi > lo:
         x, fx = _bounded_brent(F, lo, hi, xatol=1e-10)

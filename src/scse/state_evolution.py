@@ -29,6 +29,8 @@ from .ensemble import CouplingMatrix, UnderlyingParams
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 10_000
+COUPLED_MAX_ITERS = 20_000  # step cap of the coupled threshold search and checks
+SHAPE_TOL = 1e-6  # ripple saturate_profile tolerates on the rise to the maximum
 
 STRICTLY_DEGRADED = "strictly_degraded"
 DEGRADED_EQUAL = "degraded_equal"
@@ -354,12 +356,11 @@ def is_degraded(E, G) -> str:
     return INCOMPARABLE
 
 
-def saturate_profile(fixed: ErrorProfile, E0: float,
-                     shape_tol: float = 1e-6) -> SaturatedProfile:
+def saturate_profile(fixed: ErrorProfile, E0: float) -> SaturatedProfile:
     """Nondecreasing envelope: floor plateau, the rising segment, max plateau.
 
     The source must rise to its global maximum through a single segment
-    (ripples up to shape_tol are tolerated); otherwise the shape is reported
+    (ripples up to SHAPE_TOL are tolerated); otherwise the shape is reported
     as a violation rather than silently patched.
     """
     v = fixed.values
@@ -371,7 +372,7 @@ def saturate_profile(fixed: ErrorProfile, E0: float,
                                 E_max=E0, E0=E0, degenerate=True)
     rising = v[: r_max0 + 1]
     drops = np.diff(rising)
-    if drops.size and drops.min() < -shape_tol:
+    if drops.size and drops.min() < -SHAPE_TOL:
         raise ValueError("profile does not rise monotonically to its maximum")
     above = np.nonzero(rising > E0)[0]
     r_star0 = int(above[0]) - 1 if above.size else r_max0

@@ -29,11 +29,11 @@ from .ensemble import (RATE_CAP, RATE_FLOOR, CoupledParams, DesignFunction,
                        UnderlyingParams, build_coupling_matrix, capacity,
                        rectangular_design)
 from .potential import free_energy_gap
-from .state_evolution import (DEFAULT_TOL, coupled_decode, fixed_point_tolerance,
-                              fold_rate, scalar_fixed_points)
+from .state_evolution import (COUPLED_MAX_ITERS, DEFAULT_TOL, coupled_decode,
+                              fixed_point_tolerance, fold_rate,
+                              scalar_fixed_points)
 
 DEFAULT_TOL_R = 2e-3
-COUPLED_MAX_ITERS = 20_000
 
 
 class ThresholdSearchError(RuntimeError):

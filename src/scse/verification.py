@@ -17,19 +17,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoiser import MCConfig, Plan, section_stats, stream_plans, table_plan
+from .denoiser import (DEFAULT_N_POINTS, MCConfig, Plan, section_stats,
+                       stream_plans, table_plan)
 from .ensemble import (CoupledParams, CouplingMatrix, DesignFunction,
                        UnderlyingParams, build_coupling_matrix)
-from .potential import (free_energy_gap, potential_coupled,
+from .potential import (LN2, free_energy_gap, potential_coupled,
                         potential_energy_underlying, potential_underlying)
-from .state_evolution import (DEFAULT_TOL, ErrorProfile, SaturatedProfile,
-                              _inverse_noise_moment, coupled_decode,
-                              fixed_point_tolerance, iterate_underlying,
-                              max_profile_increment, saturate_profile, shift,
-                              sigma_underlying)
+from .state_evolution import (COUPLED_MAX_ITERS, DEFAULT_TOL, ErrorProfile,
+                              SaturatedProfile, _inverse_noise_moment,
+                              coupled_decode, fixed_point_tolerance,
+                              iterate_underlying, max_profile_increment,
+                              saturate_profile, shift, sigma_underlying)
 
-LN2 = math.log(2.0)
 NISHIMORI_DELTA = 1e-3  # joint failure probability of the Nishimori bound
+NISHIMORI_E_GRID = np.linspace(0.0, 1.0, 16)  # MSEs whose noise levels are checked
+I_MMSE_SIGMA_GRID = np.geomspace(0.4, 2.5, 8)  # noise levels of the I-MMSE check
+I_MMSE_H = 1e-3  # finite-difference step in gamma = Sigma^-2
 
 
 @dataclass(frozen=True)
@@ -38,14 +41,12 @@ class LemmaReport:
     passed: bool
     measured: object
     bound: object
-    tolerance: float
     context: dict = field(default_factory=dict)
     skipped: bool = False
 
     def to_dict(self) -> dict:
         return {"name": self.name, "pass": self.passed, "measured": self.measured,
-                "bound": self.bound, "tolerance": self.tolerance,
-                "context": self.context, "skipped": self.skipped}
+                "bound": self.bound, "context": self.context, "skipped": self.skipped}
 
 
 def verify_smoothness(saturated: SaturatedProfile, design: DesignFunction,
@@ -53,7 +54,7 @@ def verify_smoothness(saturated: SaturatedProfile, design: DesignFunction,
     """Neighboring entries of a saturated profile move by less than (g*+g~)/w."""
     measured = max_profile_increment(saturated.values)
     bound = (design.gstar + design.gtilde) / w
-    return LemmaReport("smoothness", measured < bound, measured, bound, 0.0,
+    return LemmaReport("smoothness", measured < bound, measured, bound,
                        {"w": w, "design": design.kind, "E_max": saturated.E_max})
 
 
@@ -70,7 +71,7 @@ def verify_telescoping(saturated: SaturatedProfile, J: CouplingMatrix,
     Gamma, w = J.Gamma, J.w
     _, entropy_table = tables
     if not saturated.degenerate and saturated.r_max > Gamma - 3 * w:
-        return LemmaReport("telescoping", False, None, None, 0.0,
+        return LemmaReport("telescoping", False, None, None,
                            {"reason": f"saturated maximum at block {saturated.r_max} "
                                       f"reaches the right boundary zone"}, skipped=False)
     E = saturated.values
@@ -99,22 +100,22 @@ def verify_telescoping(saturated: SaturatedProfile, J: CouplingMatrix,
     return LemmaReport("telescoping", passed,
                        {"residual": residual, "u_residual": u_residual},
                        {"residual": 5.0 * noise, "u_residual": 1e-10},
-                       0.0, {"lhs": lhs, "rhs": rhs, "E_max": saturated.E_max,
-                             "E0": saturated.E0, "degenerate": saturated.degenerate})
+                       {"lhs": lhs, "rhs": rhs, "E_max": saturated.E_max,
+                        "E0": saturated.E0, "degenerate": saturated.degenerate})
 
 
 def verify_basin_exclusion(saturated: SaturatedProfile, params: UnderlyingParams,
                            mmse_table, tol: float = DEFAULT_TOL) -> LemmaReport:
     """The saturated maximum must lie outside the floor's basin."""
     if saturated.degenerate:
-        return LemmaReport("basin_exclusion", True, None, None, 0.0,
+        return LemmaReport("basin_exclusion", True, None, None,
                            {"reason": "profile decoded; nothing above the floor"},
                            skipped=True)
     run = iterate_underlying(saturated.E_max, params, mmse_table, tol)
     radius = fixed_point_tolerance(mmse_table, params, saturated.E0, tol)
     separation = abs(run.final - saturated.E0)
     return LemmaReport("basin_exclusion", separation > radius, separation, radius,
-                       0.0, {"E_max": saturated.E_max, "attracted_to": run.final})
+                       {"E_max": saturated.E_max, "attracted_to": run.final})
 
 
 def _stalled_saturation(params: UnderlyingParams, Gamma: int, w: int,
@@ -133,78 +134,63 @@ def _stalled_saturation(params: UnderlyingParams, Gamma: int, w: int,
     return J, run, saturate_profile(run.final, E0)
 
 
-def shift_potential_scaling(params: UnderlyingParams, R: float, Gamma: int,
-                            w_list, tables, design: DesignFunction,
+def shift_potential_scaling(params: UnderlyingParams, Gamma: int, w_list,
+                            tables, design: DesignFunction,
                             tol: float = DEFAULT_TOL,
-                            max_iters: int = 20_000) -> LemmaReport:
+                            max_iters: int = COUPLED_MAX_ITERS) -> LemmaReport:
     """w times the shift-potential difference stays bounded across w.
 
-    Needs a rate at which the coupled system stalls for every listed w; a w
-    that decodes instead is reported and fails the check (the scaling is
-    about nontrivial profiles).
+    The rate is params.R.  It must be one at which the coupled system stalls
+    for every listed w; a w that decodes instead is reported and fails the
+    check (the scaling is about nontrivial profiles).
     """
-    p = params.with_rate(R)
     mmse_table, _ = tables
     rows = []
     values = []
     for w in sorted(w_list):
-        J, run, sat = _stalled_saturation(p, Gamma, w, design, mmse_table, tol, max_iters)
+        J, run, sat = _stalled_saturation(params, Gamma, w, design, mmse_table, tol, max_iters)
         if sat.degenerate:
             rows.append({"w": w, "decoded": True})
             continue
         prof = ErrorProfile(sat.values, Gamma, w)
         prof_s = ErrorProfile(shift(sat.values, sat.E0), Gamma, w)
-        dFc = (potential_coupled(prof_s, J, p, tables)
-               - potential_coupled(prof, J, p, tables))
+        dFc = (potential_coupled(prof_s, J, params, tables)
+               - potential_coupled(prof, J, params, tables))
         rows.append({"w": w, "decoded": False, "dFc": dFc, "w_dFc": w * abs(dFc),
                      "E_max": sat.E_max, "increment": max_profile_increment(sat.values)})
         values.append(w * abs(dFc))
     if not values:  # nothing stalled: trivially bounded, but say so
-        return LemmaReport("shift_potential_scaling", True, 0.0, 4.0, 0.0,
+        return LemmaReport("shift_potential_scaling", True, 0.0, 4.0,
                            {"rows": rows, "reason": "all widths decoded"})
     if len(values) < len(list(w_list)):
-        return LemmaReport("shift_potential_scaling", False, None, 4.0, 0.0,
+        return LemmaReport("shift_potential_scaling", False, None, 4.0,
                            {"rows": rows, "reason": "stall regime not uniform in w"})
     ratio = max(values) / min(values)
-    return LemmaReport("shift_potential_scaling", ratio <= 4.0, ratio, 4.0, 0.0,
-                       {"rows": rows, "R": R, "Gamma": Gamma})
+    return LemmaReport("shift_potential_scaling", ratio <= 4.0, ratio, 4.0,
+                       {"rows": rows, "R": params.R, "Gamma": Gamma})
 
 
-def theorem1_experiment(params: UnderlyingParams, R: float, Gamma: int, w: int,
+def theorem1_experiment(params: UnderlyingParams, Gamma: int, w: int,
                         tables, design: DesignFunction,
                         tol: float = DEFAULT_TOL,
-                        max_iters: int = 20_000,
-                        scan_w: bool = True) -> LemmaReport:
-    """Does the pinned coupled system decode to the floor at rate R?
+                        max_iters: int = COUPLED_MAX_ITERS) -> LemmaReport:
+    """Does the pinned coupled system decode to the floor at rate params.R?
 
-    Also records the free-energy gap and, optionally, the smallest window
-    width that decodes, which is where the inverse-gap tendency shows.
+    Also records the free-energy gap and the number of coupled steps run.
     """
-    p = params.with_rate(R)
     mmse_table, _ = tables
-    J = build_coupling_matrix(CoupledParams(p, Gamma, w, design))
-    run, E0, radius, decoded = coupled_decode(J, p, mmse_table, tol, max_iters)
-    gap = free_energy_gap(p, tables, tol=tol)
-    min_w = None
-    if scan_w:
-        for cand in (1, 2, 3, 4, 6, 8, 12, 16):
-            if Gamma <= 8 * cand:
-                break
-            Jc = build_coupling_matrix(CoupledParams(p, Gamma, cand, design))
-            if coupled_decode(Jc, p, mmse_table, tol, max_iters)[3]:
-                min_w = cand
-                break
+    J = build_coupling_matrix(CoupledParams(params, Gamma, w, design))
+    run, E0, radius, decoded = coupled_decode(J, params, mmse_table, tol, max_iters)
+    gap = free_energy_gap(params, tables, tol=tol)
     return LemmaReport("theorem1_decoding", decoded,
-                       float(run.final.values.max()), E0 + radius, 0.0,
-                       {"R": R, "Gamma": Gamma, "w": w, "delta_F": gap.delta_F,
-                        "min_decoding_w": min_w, "iterations": run.iterations})
+                       float(run.final.values.max()), E0 + radius,
+                       {"R": params.R, "Gamma": Gamma, "w": w, "delta_F": gap.delta_F,
+                        "iterations": run.iterations})
 
 
-def _nishimori_plan(params: UnderlyingParams, mc: MCConfig, E_grid=None) -> Plan:
+def _nishimori_plan(params: UnderlyingParams, mc: MCConfig) -> Plan:
     """nishimori_report's jobs, one statistic per grid point, and its verdict."""
-    if E_grid is None:
-        E_grid = np.linspace(0.0, 1.0, 16)
-    sigs = [sigma_underlying(float(E), params) for E in E_grid]
+    sigs = [sigma_underlying(float(E), params) for E in NISHIMORI_E_GRID]
 
     def point(z, bounds, sig):
         st = section_stats(z, sig, params.B, bounds)
@@ -215,19 +201,21 @@ def _nishimori_plan(params: UnderlyingParams, mc: MCConfig, E_grid=None) -> Plan
         L = math.log(4.0 * len(sigs) / NISHIMORI_DELTA)
         worst = 0.0
         details = []
-        for E, mean, stderr in zip(E_grid, means.tolist(), stderrs.tolist()):
+        for E, mean, stderr in zip(NISHIMORI_E_GRID, means.tolist(), stderrs.tolist()):
             var = n * stderr * stderr  # unbiased sample variance
             bound = math.sqrt(2.0 * var * L / n) + 7.0 * 1.25 * L / (3.0 * max(n - 1, 1))
             worst = max(worst, abs(mean) / bound)
             details.append({"E": float(E), "diff": mean, "stderr": stderr, "bound": bound})
-        return LemmaReport("nishimori", worst <= 1.0, worst, 1.0, 0.0, {"points": details})
+        return LemmaReport("nishimori", worst <= 1.0, worst, 1.0, {"points": details})
 
     return Plan([functools.partial(point, sig=sig) for sig in sigs], finish)
 
 
-def nishimori_report(params: UnderlyingParams, mc: MCConfig,
-                     E_grid=None) -> LemmaReport:
+def nishimori_report(params: UnderlyingParams, mc: MCConfig) -> LemmaReport:
     """MMSE equals one minus the mean true-component weight, same samples.
+
+    The m = 16 grid points are the noise levels Sigma(E) at the MSEs of
+    NISHIMORI_E_GRID, evenly spaced over [0, 1].
 
     The per-sample difference d = sum_i f_i^2 - f_1 has mean zero and lies in
     [-1/4, 1] (f_1^2 - f_1 <= d <= 1 - f_1).  Each point's mean is judged
@@ -238,19 +226,16 @@ def nishimori_report(params: UnderlyingParams, mc: MCConfig,
     d is nonzero only on rare samples.  measured is the worst |diff|/bound,
     bound is 1.
     """
-    return stream_plans(mc, params.B, [_nishimori_plan(params, mc, E_grid)])[0]
+    return stream_plans(mc, params.B, [_nishimori_plan(params, mc)])[0]
 
 
-def _i_mmse_plan(params: UnderlyingParams, sigma_grid=None, h: float = 1e-3,
-                 coefficient: float | None = None) -> Plan:
+def _i_mmse_plan(params: UnderlyingParams, coefficient: float | None = None) -> Plan:
     """i_mmse_report's jobs, three statistics per sigma, and its verdict."""
-    if sigma_grid is None:
-        sigma_grid = np.geomspace(0.4, 2.5, 8)
     if coefficient is None:
         coefficient = params.log2B / (2.0 * LN2)
-    lb = params.log2B
+    lb, h = params.log2B, I_MMSE_H
     points = []
-    for sig in sigma_grid:
+    for sig in I_MMSE_SIGMA_GRID:
         gamma = 1.0 / (sig * sig)
         points.append((float(sig), {k: (gamma + x) ** -0.5 for k, x in
                                     (("p", h), ("m", -h), ("p2", h / 2), ("m2", -h / 2))}))
@@ -281,29 +266,31 @@ def _i_mmse_plan(params: UnderlyingParams, sigma_grid=None, h: float = 1e-3,
             details.append({"sigma": sig, "slope_plus_c_mmse": mean_D,
                             "stderr": stderr_D, "discretization": disc, "pass": ok})
         worst = max(abs(d["slope_plus_c_mmse"]) - d["discretization"] for d in details)
-        return LemmaReport("i_mmse", passed, worst, "3*stderr+h^2 allowance", 0.0,
+        return LemmaReport("i_mmse", passed, worst, "3*stderr+h^2 allowance",
                            {"coefficient": coefficient, "points": details})
 
     return Plan([functools.partial(point, sig=sig, sigs=sigs) for sig, sigs in points], finish)
 
 
-def i_mmse_report(params: UnderlyingParams, mc: MCConfig, sigma_grid=None,
-                  h: float = 1e-3, coefficient: float | None = None) -> LemmaReport:
+def i_mmse_report(params: UnderlyingParams, mc: MCConfig,
+                  coefficient: float | None = None) -> LemmaReport:
     """Slope of the section entropy in the inverse noise against the MMSE.
 
     The entropy here is S*log2(B), differentiated in gamma = Sigma^{-2}; the
     slope equals -log2(B)/(2 ln 2) times the MMSE (B-independent when written
     per unit of the per-component SNR log2(B)*gamma).  Pass a different
-    coefficient to test other claimed constants.  Uses common random numbers
-    and a Richardson estimate of the h^2 discretization error.
+    coefficient to test other claimed constants.  The check runs at the eight
+    noise levels of I_MMSE_SIGMA_GRID, geometric over [0.4, 2.5], with step
+    h = I_MMSE_H.  Uses common random numbers and a Richardson estimate of the
+    h^2 discretization error.
     """
-    plan = _i_mmse_plan(params, sigma_grid, h, coefficient)
+    plan = _i_mmse_plan(params, coefficient)
     return stream_plans(mc, params.B, [plan])[0]
 
 
 def run_suite(params: UnderlyingParams, Gamma: int, w: int,
-              design: DesignFunction, mc: MCConfig, n_points: int = 256,
-              tol: float = DEFAULT_TOL, max_iters: int = 20_000) -> list:
+              design: DesignFunction, mc: MCConfig, n_points: int = DEFAULT_N_POINTS,
+              tol: float = DEFAULT_TOL, max_iters: int = COUPLED_MAX_ITERS) -> list:
     """The full battery at one parameter point; R comes from params.
 
     The mmse/entropy tables (n_points nodes) and the Nishimori and I-MMSE
@@ -320,8 +307,7 @@ def run_suite(params: UnderlyingParams, Gamma: int, w: int,
     reports.append(verify_telescoping(sat, J, params, tables))
     reports.append(verify_basin_exclusion(sat, params, mmse_table, tol))
     w_list = [v for v in dict.fromkeys((w, 2 * w)) if Gamma > 8 * v]
-    reports.append(shift_potential_scaling(params, params.R, Gamma, w_list,
-                                           tables, design, tol, max_iters))
-    reports.append(theorem1_experiment(params, params.R, Gamma, w, tables,
-                                       design, tol, max_iters, scan_w=False))
+    reports.append(shift_potential_scaling(params, Gamma, w_list, tables, design,
+                                           tol, max_iters))
+    reports.append(theorem1_experiment(params, Gamma, w, tables, design, tol, max_iters))
     return reports

@@ -39,6 +39,17 @@ def test_tables_idempotent(tmp_path):
     assert not any((tmp_path / n).name.endswith(".tmp") for n in os.listdir(tmp_path))
 
 
+@pytest.mark.parametrize("n_points,coarse", [(16, True), (64, False)])
+def test_tables_config_reports_coarse_flags(tmp_path, n_points, coarse):
+    assert _run(tmp_path, "tables", "--B", "2", "--samples", "20000",
+                "--n-points", str(n_points)) == 0
+    flags = json.loads((tmp_path / "tables_config.json").read_text())["too_coarse"]
+    p = UnderlyingParams(B=2, R=0.75 * capacity(15.0), sigma2=1.0 / 15.0)
+    mmse_t, ent_t = build_tables(p, MCConfig(seed=0, n_samples=20_000), n_points=n_points)
+    assert flags == {"mmse": bool(mmse_t.coarse.any()), "entropy": bool(ent_t.coarse.any())}
+    assert flags["mmse"] is coarse
+
+
 def test_tables_default_node_count(tmp_path):
     assert _run(tmp_path, "tables", "--B", "2", "--samples", "4000") == 0
     lines = (tmp_path / "mmse_table.csv").read_text().splitlines()
@@ -147,6 +158,16 @@ def test_verify_fails_in_stall_regime(tmp_path, capsys):
     report = json.loads((tmp_path / "verify_report.json").read_text())
     by_name = {r["name"]: r for r in report["reports"]}
     assert by_name["theorem1_decoding"]["pass"] is False
+
+
+def test_verify_max_iters_caps_coupled_chains(tmp_path):
+    # this stalled chain runs 117 steps under the default cap
+    assert _run(tmp_path, "verify", "--B", "4", "--R", "1.7", "--samples", "20000",
+                "--n-points", "64", "--max-iters", "50") == 1
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    by_name = {r["name"]: r for r in report["reports"]}
+    assert report["config"]["max_iters"] == 50
+    assert by_name["theorem1_decoding"]["context"]["iterations"] == 50
 
 
 def test_thresholds_fail_without_spinodal(tmp_path, capsys):

@@ -28,7 +28,7 @@ def _synthetic_saturation(params, tables, Gamma, w, E_max, ramp_len=12):
 
 
 def test_lemma_report_to_dict():
-    rep = LemmaReport("x", True, 1.0, 2.0, 0.1, {"a": 1})
+    rep = LemmaReport("x", True, 1.0, 2.0, {"a": 1})
     d = rep.to_dict()
     assert d["pass"] is True and d["name"] == "x" and d["context"] == {"a": 1}
     assert not d["skipped"]
@@ -123,24 +123,22 @@ def test_i_mmse_report_rejects_half_constant(params_b4):
 
 
 def test_theorem1_experiment_decodes_below_threshold(params_b4, tables_b4):
-    rep = theorem1_experiment(params_b4, 1.5, 64, 3, tables_b4,
-                              rectangular_design(), scan_w=True)
+    rep = theorem1_experiment(params_b4.with_rate(1.5), 64, 3, tables_b4,
+                              rectangular_design())
     assert rep.passed
-    assert rep.context["min_decoding_w"] is not None
     assert rep.context["delta_F"] > 0
 
 
 def test_theorem1_experiment_stalls_above_coupled_threshold(params_b4, mc_small):
     p = params_b4.with_rate(1.70)
     tabs = build_tables(p, mc_small, n_points=96)
-    rep = theorem1_experiment(params_b4, 1.70, 64, 3, tabs,
-                              rectangular_design(), scan_w=False)
+    rep = theorem1_experiment(p, 64, 3, tabs, rectangular_design())
     assert not rep.passed
     assert rep.measured > rep.bound
 
 
 def test_shift_potential_scaling_trivial_when_decoding(params_b4, tables_b4):
-    rep = shift_potential_scaling(params_b4, 1.5, 64, [2, 3], tables_b4,
+    rep = shift_potential_scaling(params_b4.with_rate(1.5), 64, [2, 3], tables_b4,
                                   rectangular_design())
     assert rep.passed
     assert all(row["decoded"] for row in rep.context["rows"])
@@ -151,8 +149,7 @@ def test_shift_potential_scaling_mixed_regime_fails(params_b4, mc_small):
     # requires a uniform stall and must say so
     p = params_b4.with_rate(1.70)
     tabs = build_tables(p, mc_small, n_points=96)
-    rep = shift_potential_scaling(params_b4, 1.70, 64, [3, 6], tabs,
-                                  rectangular_design())
+    rep = shift_potential_scaling(p, 64, [3, 6], tabs, rectangular_design())
     decoded = [row.get("decoded") for row in rep.context["rows"]]
     if all(d is False for d in decoded):
         pytest.skip("both widths stalled with these tables; regime is uniform")
@@ -222,9 +219,9 @@ def test_run_suite_shares_one_pass(mc_layout, monkeypatch, serial_untiled_tables
     import scse.verification as verification
     seen = []
 
-    def spying(params, R, Gamma, w, tables, *args, **kwargs):
+    def spying(params, Gamma, w, tables, *args, **kwargs):
         seen.append(tables)
-        return theorem1_experiment(params, R, Gamma, w, tables, *args, **kwargs)
+        return theorem1_experiment(params, Gamma, w, tables, *args, **kwargs)
 
     monkeypatch.setattr(verification, "theorem1_experiment", spying)
     reports = run_suite(B16, 32, 2, rectangular_design(), MC_TWO_CHUNKS, n_points=32)
