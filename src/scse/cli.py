@@ -22,7 +22,8 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .denoiser import DEFAULT_N_POINTS, MCConfig, build_tables, default_n_samples
+from .denoiser import (DEFAULT_N_POINTS, MCConfig, build_tables, default_n_samples,
+                       table_plan)
 from .ensemble import (DESIGN_KINDS, RATE_CAP, CoupledParams, UnderlyingParams,
                        atomic_write, build_coupling_matrix, capacity,
                        make_design)
@@ -58,8 +59,6 @@ class RunConfig:
         if not all(v > 0 and math.isfinite(v) for v in (self.tol, self.tol_R)):
             raise ValueError("tol and tol_R must be positive and finite, "
                              f"got {self.tol} and {self.tol_R}")
-        if self.n_points < 16:  # build_tables' minimum, checked before any build
-            raise ValueError("n_points must be at least 16")
         # the lookup tables end at the largest Sigma a rate of RATE_CAP * C reaches
         if self.R is not None and self.R > RATE_CAP * capacity(self.snr):
             raise ValueError(f"R must be at most {RATE_CAP:g} times capacity, "
@@ -282,9 +281,9 @@ def _resolve_config(args: argparse.Namespace,
             values[dest] = flag_val
     try:
         cfg = RunConfig(**values)
-        # build every parameter object once, so a bad value exits 2 before any work
-        cfg.mc()
+        # build every parameter object and the table plan: a bad value exits 2 before any work
         CoupledParams(cfg.params(), cfg.Gamma, cfg.w, cfg.design_fn())
+        table_plan(cfg.params(), cfg.mc(), cfg.n_points)
     except (ValueError, TypeError) as exc:
         parser.error(str(exc))
     return cfg

@@ -571,6 +571,12 @@ class MonotoneTable:
         out = np.interp(sigma, self.sigma_grid, self.values, left=self.lo_value, right=self.hi_value)
         return float(out) if np.ndim(out) == 0 else out
 
+    def segments(self) -> tuple:
+        """(a, b) with the table equal to a_k + b_k Sigma between nodes k and k+1."""
+        s, v = self.sigma_grid, self.values
+        b = np.diff(v) / np.diff(s)
+        return v[:-1] - b * s[:-1], b
+
     def stderr_at(self, sigma) -> float:
         return float(np.interp(sigma, self.sigma_grid, self.stderrs))
 

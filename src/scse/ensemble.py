@@ -154,10 +154,11 @@ def asymmetric_exponential_design(rate: float = 1.0) -> DesignFunction:
 def make_design(kind: str, param: float | None = None) -> DesignFunction:
     if kind == "rectangular":
         return rectangular_design()
+    args = () if param is None else (param,)  # None keeps the constructor's default
     if kind == "triangular":
-        return triangular_design(0.5 if param is None else param)
+        return triangular_design(*args)
     if kind == "asymmetric-exponential":
-        return asymmetric_exponential_design(1.0 if param is None else param)
+        return asymmetric_exponential_design(*args)
     raise ValueError(f"unknown design kind {kind!r}")
 
 

@@ -5,7 +5,8 @@ The scalar potential splits into a closed-form energy term
     U(E) = (1/2R) * [log2(sigma2+E) - E/((sigma2+E) ln 2)]
 
 and an entropy term S(Sigma(E)) read from the Monte-Carlo table; F = U - S.
-The coupled potential sums U over rows and S over column noise levels.
+The coupled potential sums U over rows and S over column noise levels.  The
+free-energy gap is F's exact minimum over the table's linear pieces.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .state_evolution import (DEFAULT_TOL, ErrorProfile, _basin_boundary,
                               sigma_underlying)
 
 LN2 = math.log(2.0)
-GAP_GRID_SIZE = 512  # free_energy_gap's coarse grid over [basin_sup, 1]
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,21 @@ def potential_curve(params: UnderlyingParams, entropy_table: MonotoneTable,
 
 def free_energy_gap(params: UnderlyingParams, tables,
                     tol: float = DEFAULT_TOL) -> GapReport:
-    """Infimum of F(E) - F(floor) over starts the floor does not attract.
+    """Minimum of F(E) - F(floor) over starts the floor does not attract.
 
     tables is the (mmse_table, entropy_table) pair.  When the basin is the
-    whole domain the infimum runs over the empty set and the gap is +inf.
+    whole domain the minimum runs over the empty set and the gap is +inf.
+
+    The minimum is exact on the table.  On entropy segment k, S = a_k +
+    b_k Sigma; with t = sqrt(sigma2 + E) = Sigma/sqrt(R) and kappa_k =
+    b_k R^(3/2) ln 2, F'(E) = E/(2R ln2 t^4) - b_k sqrt(R)/(2t) has the sign
+    of g(t) = t^2 - sigma2 - kappa_k t^3.  g(0) < 0, and since b_k >= 0, g
+    rises and then may fall, so F's only local minimum inside the segment is
+    g's smaller positive root.  With u = 1/t, g = 0 reads sigma2 u^3 - u +
+    kappa_k = 0, whose largest root is u = 2 cos(arccos(-1.5 kappa_k
+    sqrt(3 sigma2))/3)/sqrt(3 sigma2), real iff 27 kappa_k^2 sigma2 <= 4.
+    So the minimum over [basin_sup, 1] is the least F at basin_sup, at 1, at
+    the node preimages E = s_k^2/R - sigma2 and at the in-segment roots.
     """
     mmse_table, entropy_table = tables
     roots = scalar_fixed_points(params, mmse_table)
@@ -78,115 +89,19 @@ def free_energy_gap(params: UnderlyingParams, tables,
     Ebar = _basin_boundary(params, mmse_table, roots, tol)
     if Ebar >= 1.0:
         return GapReport(delta_F=math.inf, argmin_E=None, basin_sup=1.0, E0=E0)
-
-    def F(E):
-        return potential_underlying(float(E), params, entropy_table)
-
-    grid = np.linspace(Ebar, 1.0, GAP_GRID_SIZE)
-    U = np.array([potential_energy_underlying(float(e), params) for e in grid])
-    vals = U - entropy_table(np.sqrt(params.R * (params.sigma2 + grid)))
-    k = int(np.argmin(vals))
-    lo = float(grid[max(k - 1, 0)])
-    hi = float(grid[min(k + 1, GAP_GRID_SIZE - 1)])
-    best_E, best_F = float(grid[k]), float(vals[k])
-    if hi > lo:
-        x, fx = _bounded_brent(F, lo, hi, xatol=1e-10)
-        if fx < best_F:
-            best_E, best_F = x, fx
-    return GapReport(delta_F=best_F - F(E0), argmin_E=best_E, basin_sup=Ebar, E0=E0)
-
-
-_SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
-_BRENT_MAXFUN = 500
-
-
-def _bounded_brent(func, a: float, b: float, xatol: float) -> tuple:
-    """(x, func(x)) at a local minimum of func on [a, b], Brent's (1973) method.
-
-    A step-for-step port of scipy.optimize's _minimize_scalar_bounded
-    (scipy 1.17, BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc. and
-    2003-2024 SciPy Developers), which minimize_scalar(method="bounded")
-    runs: the same parabolic and golden-section steps, the same tol1/tol2
-    updates and the same 500-evaluation cap, so it visits the same points
-    and returns the same floats.  Only the options scse does not use (disp,
-    args, maxiter) and the result object are left out.
-    """
-    fulc = a + _GOLDEN_MEAN * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = func(x)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        # parabolic fit through the three best points
-        if abs(e) > tol1:
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * _sign_or_one(xm - xf)
-            else:
-                golden = True
-
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = _GOLDEN_MEAN * e
-
-        x = xf + _sign_or_one(rat) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= _BRENT_MAXFUN:
-            break
-
-    return xf, fx
-
-
-def _sign_or_one(v: float) -> float:
-    """np.sign(v) + (v == 0): the sign of v, with 1 at zero and NaN kept."""
-    if v == 0.0:
-        return 1.0
-    return v if v != v else math.copysign(1.0, v)
+    R, s2, s = params.R, params.sigma2, entropy_table.sigma_grid
+    _, b = entropy_table.segments()
+    x = -1.5 * b * R ** 1.5 * LN2 * math.sqrt(3.0 * s2)
+    real = np.abs(x) <= 1.0
+    sigma = math.sqrt(3.0 * R * s2) / (2.0 * np.cos(np.arccos(x[real]) / 3.0))  # sqrt(R)/u
+    inside = (sigma >= s[:-1][real]) & (sigma <= s[1:][real])
+    E = np.concatenate([[Ebar, 1.0], s ** 2 / R - s2, sigma[inside] ** 2 / R - s2])
+    E = np.sort(E[(E >= Ebar) & (E <= 1.0)])
+    U = np.array([potential_energy_underlying(float(e), params) for e in E])
+    F = U - entropy_table(np.sqrt(R * (s2 + E)))
+    k = int(np.argmin(F))
+    return GapReport(delta_F=float(F[k]) - potential_underlying(E0, params, entropy_table),
+                     argmin_E=float(E[k]), basin_sup=Ebar, E0=E0)
 
 
 def potential_coupled(profile: ErrorProfile, J: CouplingMatrix,

@@ -161,13 +161,6 @@ def _sorted_distinct(x: np.ndarray) -> np.ndarray:
     return x[keep]
 
 
-def _segments(table: MonotoneTable) -> tuple:
-    """(a, b) with the table equal to a_k + b_k Sigma on segment k."""
-    s, v = table.sigma_grid, table.values
-    b = np.diff(v) / np.diff(s)
-    return v[:-1] - b * s[:-1], b
-
-
 def scalar_fixed_points(params: UnderlyingParams, table: MonotoneTable) -> np.ndarray:
     """Every fixed point E = mmse(Sigma(E)) in [0, 1], sorted, solved on the table.
 
@@ -181,7 +174,7 @@ def scalar_fixed_points(params: UnderlyingParams, table: MonotoneTable) -> np.nd
     if not s[0] <= math.sqrt(R * s2) or not math.sqrt(R * (s2 + 1.0)) <= s[-1]:
         raise ValueError(f"the table grid [{s[0]:.6g}, {s[-1]:.6g}] does not cover "
                          f"Sigma(E) for E in [0, 1] at R={R:.6g}, sigma2={s2:.6g}")
-    a, b = _segments(table)
+    a, b = table.segments()
     c = R * (s2 + a)
     disc = (R * b) ** 2 + 4.0 * c
     ok = disc >= 0.0
@@ -224,7 +217,7 @@ def fold_rate(params: UnderlyingParams, table: MonotoneTable,
     floor's radius; the fold ends the first run of bistable windows.
     """
     s2, s = params.sigma2, table.sigma_grid
-    a, b = _segments(table)
+    a, b = table.segments()
     with np.errstate(divide="ignore", invalid="ignore"):
         star = -2.0 * (s2 + a) / b
     sigma = np.sort(np.concatenate([s, star[(star > s[:-1]) & (star < s[1:])]]))

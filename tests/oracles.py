@@ -197,6 +197,21 @@ def large_b_potential_direct(E, R, sigma2):
     return U - max(0.0, 1.0 - 1.0 / (2.0 * math.log(2.0) * sig2))
 
 
+def dense_gap_oracle(params, tables, basin_sup, E0, n=200_001):
+    """(least F(E) - F(E0), its E) over an n-point grid on [basin_sup, 1] and
+    every node preimage Sigma_k^2/R - sigma2 there, with F = U - S written
+    out and S read from the entropy table's nodes by np.interp."""
+    R, s2 = params.R, params.sigma2
+    ent = tables[1]
+    E = np.concatenate([np.linspace(basin_sup, 1.0, n), ent.sigma_grid ** 2 / R - s2])
+    E = np.append(E[(E >= basin_sup) & (E <= 1.0)], E0)
+    s2e = s2 + E
+    F = ((np.log2(s2e) - E / (s2e * math.log(2.0))) / (2.0 * R)
+         - np.interp(np.sqrt(R * s2e), ent.sigma_grid, ent.values))
+    k = int(np.argmin(F[:-1]))
+    return F[k] - F[-1], E[k]
+
+
 def grid_argmin(fn, lo, hi, n):
     xs = np.linspace(lo, hi, n)
     ys = np.array([fn(x) for x in xs])

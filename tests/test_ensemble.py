@@ -77,6 +77,9 @@ def test_make_design_dispatch():
     assert make_design("rectangular").kind == "rectangular"
     assert make_design("triangular", 0.7).param == 0.7
     assert make_design("asymmetric-exponential").param == 1.0
+    # a missing param leaves each constructor's own default in force
+    assert make_design("triangular") == triangular_design()
+    assert make_design("asymmetric-exponential") == asymmetric_exponential_design()
     with pytest.raises(ValueError):
         make_design("gaussian")
     with pytest.raises(ValueError):

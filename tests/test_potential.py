@@ -5,20 +5,20 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
 
 import scse
-from scse import (CoupledParams, ErrorProfile, MCConfig, UnderlyingParams,
-                  build_coupling_matrix, build_tables, free_energy_gap,
-                  iterate_underlying, potential_coupled, potential_curve,
-                  potential_energy_underlying, potential_large_B,
-                  potential_underlying, rectangular_design,
-                  scalar_fixed_points, sigma_underlying,
-                  stationarity_residual)
+from scse import (CoupledParams, ErrorProfile, MCConfig, MonotoneTable,
+                  UnderlyingParams, build_coupling_matrix, build_tables,
+                  free_energy_gap, iterate_underlying, potential_coupled,
+                  potential_curve, potential_energy_underlying,
+                  potential_large_B, potential_underlying,
+                  rectangular_design, scalar_fixed_points,
+                  sigma_underlying, stationarity_residual)
 from scse import potential, state_evolution
+from scse.denoiser import default_sigma_span
 
-from oracles import (b2_entropy_quad, fd_slope, grid_argmin,
-                     large_b_potential_direct)
+from oracles import (b2_entropy_quad, dense_gap_oracle, fd_slope,
+                     grid_argmin, large_b_potential_direct)
 
 SIGMA2 = 1.0 / 15.0
 LN2 = math.log(2.0)
@@ -169,70 +169,35 @@ def test_stationarity_residual_contrast(params_b4, tables_b4):
     assert math.isfinite(stationarity_residual(1.0, params_b4, ent_t, h=5e-3))
 
 
-# _bounded_brent against the scipy routine it ports.  Both runs record the
-# points they evaluate; the sequences, x and f(x) must agree bit for bit.
+# The exact gap against a dense oracle: every value it takes is F at a point
+# of [basin_sup, 1], so it can only sit at or below the oracle's minimum.
 
-def _recorded(func):
-    seen = []
-
-    def f(x):
-        seen.append(float(x).hex())
-        return func(x)
-    return f, seen
-
-
-def _assert_matches_scipy(func, a, b, xatol):
-    f, want_seen = _recorded(func)
-    res = minimize_scalar(f, bounds=(a, b), method="bounded", options={"xatol": xatol})
-    g, got_seen = _recorded(func)
-    x, fx = potential._bounded_brent(g, a, b, xatol)
-    assert got_seen == want_seen
-    assert float(x).hex() == float(res.x).hex()
-    assert float(fx).hex() == float(res.fun).hex()
-    return got_seen
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gap_is_the_exact_minimum_on_the_table(seed):
+    # 16-node B=4 tables at R=1.63: the minimum sits at a node kink, where F
+    # has no zero slope for a local search to converge on
+    p = UnderlyingParams(B=4, R=1.63, sigma2=SIGMA2)
+    tabs = build_tables(p, MCConfig(seed=seed, n_samples=65536), n_points=16)
+    gap = free_energy_gap(p, tabs)
+    want, E_want = dense_gap_oracle(p, tabs, gap.basin_sup, gap.E0)
+    assert want - 1e-9 <= gap.delta_F <= want + 1e-15
+    assert gap.basin_sup <= gap.argmin_E <= 1.0
+    assert gap.argmin_E == pytest.approx(E_want, abs=1e-6)
 
 
-SYNTHETIC = {
-    "quadratic": (lambda x: (x - 0.3) ** 2, 0.0, 1.0),
-    "flat": (lambda x: 1.0, 0.0, 1.0),
-    "min_at_lower_bound": (lambda x: x * x, 0.2, 0.9),
-    "min_at_upper_bound": (lambda x: -math.exp(x), 0.2, 0.9),
-    "kink": (lambda x: abs(x - 0.7) + 0.1 * math.sin(9.0 * x), 0.0, 1.0),
-    "two_wells": (lambda x: math.cos(3.0 * x) + 0.2 * x, -2.0, 3.0),
-}
-
-
-@pytest.mark.parametrize("xatol", [1e-10, 1e-5])
-@pytest.mark.parametrize("name", sorted(SYNTHETIC))
-def test_bounded_brent_matches_scipy(name, xatol):
-    func, a, b = SYNTHETIC[name]
-    seen = _assert_matches_scipy(func, a, b, xatol)
-    assert len(seen) > 3
-
-
-def test_bounded_brent_evaluation_cap():
-    # a negative xatol never satisfies the stopping rule, so only the cap ends it
-    seen = _assert_matches_scipy(lambda x: (x - 0.3) ** 2, 0.0, 1.0, -1.0)
-    assert len(seen) == 500
-
-
-@pytest.mark.parametrize("xatol", [1e-10, 1e-5])
-@pytest.mark.parametrize("B,R", [(4, 1.58), (4, 1.62), (4, 1.7), (16, 1.6), (16, 1.8)])
-def test_bounded_brent_matches_scipy_on_gap(monkeypatch, tables_b4, tables_b16, B, R, xatol):
-    """The real F and bounds of free_energy_gap, at rates in the bistable window."""
-    calls = []
-    real = potential._bounded_brent
-
-    def capture(func, a, b, xatol):
-        calls.append((func, a, b))
-        return real(func, a, b, xatol)
-
-    monkeypatch.setattr(potential, "_bounded_brent", capture)
-    p = UnderlyingParams(B=B, R=R, sigma2=SIGMA2)
-    gap = free_energy_gap(p, tables_b4 if B == 4 else tables_b16)
-    assert math.isfinite(gap.delta_F) and len(calls) == 1
-    func, a, b = calls[0]
-    _assert_matches_scipy(func, a, b, xatol)
+def test_gap_finds_a_minimum_inside_a_segment(tables_b4):
+    # a hand-built entropy table, logistic in log Sigma, whose F has its least
+    # value between two node preimages: only the segment's cubic root finds it
+    p = UnderlyingParams(B=4, R=1.72, sigma2=SIGMA2)
+    grid = np.geomspace(*default_sigma_span(p), 48)
+    values = 1.0 / (1.0 + np.exp(-2.0 * (np.log(grid) + 0.75)))
+    entropy = MonotoneTable(grid, values, np.zeros(48), 0.0, 1.0, np.zeros(47, dtype=bool))
+    gap = free_energy_gap(p, (tables_b4[0], entropy))
+    want, _ = dense_gap_oracle(p, (tables_b4[0], entropy), gap.basin_sup, gap.E0)
+    assert want - 1e-9 <= gap.delta_F <= want + 1e-15
+    preimages = grid ** 2 / p.R - p.sigma2
+    assert np.abs(preimages - gap.argmin_E).min() > 1e-3
+    assert gap.basin_sup + 1e-3 < gap.argmin_E < 1.0 - 1e-3
 
 
 def test_import_does_not_load_scipy_optimize():
