@@ -28,8 +28,8 @@ from .thresholds import (BracketingError, MonotonicityError, ThresholdReport,
                          ThresholdSearchError, amp_threshold_coupled,
                          amp_threshold_underlying, large_B_limits,
                          make_tables_factory, potential_threshold)
-from .verification import (LemmaReport, i_mmse_report, nishimori_report,
-                           run_suite, shift_potential_scaling,
+from .verification import (LemmaReport, coupled_chain, i_mmse_report,
+                           nishimori_report, run_suite, shift_potential_scaling,
                            theorem1_experiment, verify_basin_exclusion,
                            verify_smoothness, verify_telescoping)
 

@@ -24,9 +24,9 @@ import numpy as np
 
 from .denoiser import (DEFAULT_N_POINTS, MCConfig, build_tables, default_n_samples,
                        table_plan)
-from .ensemble import (DESIGN_KINDS, RATE_CAP, CoupledParams, UnderlyingParams,
-                       atomic_write, build_coupling_matrix, capacity,
-                       make_design)
+from .ensemble import (DESIGN_KINDS, RATE_CAP, RATE_FLOOR, CoupledParams,
+                       UnderlyingParams, atomic_write, build_coupling_matrix,
+                       capacity, make_design)
 from .potential import free_energy_gap, potential_curve, potential_large_B
 from .state_evolution import (DEFAULT_MAX_ITERS, DEFAULT_TOL, iterate_coupled,
                               iterate_underlying, ones_profile)
@@ -54,15 +54,21 @@ class RunConfig:
     outdir: str = "."
 
     def __post_init__(self):
+        # a JSON config can hold 2.0 or true where an integer belongs
+        for name in ("B", "Gamma", "w", "seed", "n_points", "max_iters", "samples"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "samples" and value is None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if not all(v > 0 and math.isfinite(v) for v in (self.tol, self.tol_R)):
             raise ValueError("tol and tol_R must be positive and finite, "
                              f"got {self.tol} and {self.tol_R}")
-        # the lookup tables end at the largest Sigma a rate of RATE_CAP * C reaches
-        if self.R is not None and self.R > RATE_CAP * capacity(self.snr):
-            raise ValueError(f"R must be at most {RATE_CAP:g} times capacity, "
-                             f"{RATE_CAP * capacity(self.snr):.6g}")
+        # the lookup tables span the Sigma of rates in [RATE_FLOOR * C, RATE_CAP * C]
+        lo, hi = RATE_FLOOR * capacity(self.snr), RATE_CAP * capacity(self.snr)
+        if self.R is not None and not lo <= self.R <= hi:
+            raise ValueError(f"R must lie in [{RATE_FLOOR:g}, {RATE_CAP:g}] times "
+                             f"capacity, [{lo:.6g}, {hi:.6g}], got {self.R}")
 
     @property
     def sigma2(self) -> float:
@@ -270,8 +276,7 @@ def _resolve_config(args: argparse.Namespace,
                 file_values = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read config file: {exc}")
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(file_values) - known
+        unknown = set(file_values) - {f.name for f in fields(RunConfig)}
         if unknown:
             parser.error(f"unknown config keys: {sorted(unknown)}")
         values.update(file_values)

@@ -118,73 +118,66 @@ def verify_basin_exclusion(saturated: SaturatedProfile, params: UnderlyingParams
                        {"E_max": saturated.E_max, "attracted_to": run.final})
 
 
-def _stalled_saturation(params: UnderlyingParams, Gamma: int, w: int,
-                        design: DesignFunction, mmse_table,
-                        tol: float, max_iters: int):
-    """Coupled fixed point from the all-ones start plus its saturation.
+def coupled_chain(params: UnderlyingParams, Gamma: int, w: int,
+                  design: DesignFunction, mmse_table, tol: float = DEFAULT_TOL,
+                  max_iters: int = COUPLED_MAX_ITERS) -> tuple:
+    """(J, (run, E0, radius, decoded), saturated): one width's coupled_decode
+    from the all-ones start, and the saturation of its final profile.
 
-    A run that lands inside the floor's classification radius counts as
-    decoded and saturates to the degenerate flat profile, so boundary-induced
-    wiggles of a few ulp do not masquerade as a stall.
+    A decoded run (inside the floor's classification radius) saturates to the
+    flat E0 profile, so boundary wiggles of a few ulp do not pass for a stall.
     """
     J = build_coupling_matrix(CoupledParams(params, Gamma, w, design))
-    run, E0, _, decoded = coupled_decode(J, params, mmse_table, tol, max_iters)
-    if decoded:
-        return J, run, saturate_profile(ErrorProfile(np.full(Gamma, E0), Gamma, w), E0)
-    return J, run, saturate_profile(run.final, E0)
+    decode = coupled_decode(J, params, mmse_table, tol, max_iters)
+    run, E0, _, decoded = decode
+    final = ErrorProfile(np.full(Gamma, E0), Gamma, w) if decoded else run.final
+    return J, decode, saturate_profile(final, E0)
 
 
-def shift_potential_scaling(params: UnderlyingParams, Gamma: int, w_list,
-                            tables, design: DesignFunction,
-                            tol: float = DEFAULT_TOL,
-                            max_iters: int = COUPLED_MAX_ITERS) -> LemmaReport:
+def shift_potential_scaling(params: UnderlyingParams, chains, tables) -> LemmaReport:
     """w times the shift-potential difference stays bounded across w.
 
-    The rate is params.R.  It must be one at which the coupled system stalls
-    for every listed w; a w that decodes instead is reported and fails the
-    check (the scaling is about nontrivial profiles).
+    chains holds one coupled_chain per width at the rate params.R, read in
+    order of the w of its J.  Every chain must stall there; a chain that
+    decodes is reported and fails the check (the scaling is about nontrivial
+    profiles).
     """
-    mmse_table, _ = tables
     rows = []
     values = []
-    for w in sorted(w_list):
-        J, run, sat = _stalled_saturation(params, Gamma, w, design, mmse_table, tol, max_iters)
+    for J, _, sat in sorted(chains, key=lambda chain: chain[0].w):
         if sat.degenerate:
-            rows.append({"w": w, "decoded": True})
+            rows.append({"w": J.w, "decoded": True})
             continue
-        prof = ErrorProfile(sat.values, Gamma, w)
-        prof_s = ErrorProfile(shift(sat.values, sat.E0), Gamma, w)
+        prof = ErrorProfile(sat.values, J.Gamma, J.w)
+        prof_s = ErrorProfile(shift(sat.values, sat.E0), J.Gamma, J.w)
         dFc = (potential_coupled(prof_s, J, params, tables)
                - potential_coupled(prof, J, params, tables))
-        rows.append({"w": w, "decoded": False, "dFc": dFc, "w_dFc": w * abs(dFc),
+        rows.append({"w": J.w, "decoded": False, "dFc": dFc, "w_dFc": J.w * abs(dFc),
                      "E_max": sat.E_max, "increment": max_profile_increment(sat.values)})
-        values.append(w * abs(dFc))
+        values.append(J.w * abs(dFc))
     if not values:  # nothing stalled: trivially bounded, but say so
         return LemmaReport("shift_potential_scaling", True, 0.0, 4.0,
                            {"rows": rows, "reason": "all widths decoded"})
-    if len(values) < len(list(w_list)):
+    if len(values) < len(chains):
         return LemmaReport("shift_potential_scaling", False, None, 4.0,
                            {"rows": rows, "reason": "stall regime not uniform in w"})
     ratio = max(values) / min(values)
     return LemmaReport("shift_potential_scaling", ratio <= 4.0, ratio, 4.0,
-                       {"rows": rows, "R": params.R, "Gamma": Gamma})
+                       {"rows": rows, "R": params.R, "Gamma": chains[0][0].Gamma})
 
 
-def theorem1_experiment(params: UnderlyingParams, Gamma: int, w: int,
-                        tables, design: DesignFunction,
-                        tol: float = DEFAULT_TOL,
-                        max_iters: int = COUPLED_MAX_ITERS) -> LemmaReport:
-    """Does the pinned coupled system decode to the floor at rate params.R?
+def theorem1_experiment(params: UnderlyingParams, chain, tables,
+                        tol: float = DEFAULT_TOL) -> LemmaReport:
+    """Did the pinned coupled chain decode to the floor at rate params.R?
 
-    Also records the free-energy gap and the number of coupled steps run.
+    chain is a coupled_chain at that rate.  Also records the free-energy gap
+    and the number of coupled steps run.
     """
-    mmse_table, _ = tables
-    J = build_coupling_matrix(CoupledParams(params, Gamma, w, design))
-    run, E0, radius, decoded = coupled_decode(J, params, mmse_table, tol, max_iters)
+    J, (run, E0, radius, decoded), _ = chain
     gap = free_energy_gap(params, tables, tol=tol)
     return LemmaReport("theorem1_decoding", decoded,
                        float(run.final.values.max()), E0 + radius,
-                       {"R": params.R, "Gamma": Gamma, "w": w, "delta_F": gap.delta_F,
+                       {"R": params.R, "Gamma": J.Gamma, "w": J.w, "delta_F": gap.delta_F,
                         "iterations": run.iterations})
 
 
@@ -284,8 +277,7 @@ def i_mmse_report(params: UnderlyingParams, mc: MCConfig,
     h = I_MMSE_H.  Uses common random numbers and a Richardson estimate of the
     h^2 discretization error.
     """
-    plan = _i_mmse_plan(params, coefficient)
-    return stream_plans(mc, params.B, [plan])[0]
+    return stream_plans(mc, params.B, [_i_mmse_plan(params, coefficient)])[0]
 
 
 def run_suite(params: UnderlyingParams, Gamma: int, w: int,
@@ -297,17 +289,20 @@ def run_suite(params: UnderlyingParams, Gamma: int, w: int,
     checks are means over the same seeded Gaussian stream, so one
     stream_plans pass draws it once for all three; each result is
     bit-identical to build_tables, nishimori_report and i_mmse_report run
-    on their own.  The other checks read the tables.
+    on their own.  The other checks read the tables and the coupled chains,
+    each run once: the chain at w feeds smoothness, telescoping, basin
+    exclusion and Theorem 1, and the shift scaling reads it together with
+    the chain at 2w when Gamma > 16w.
     """
     tables, *reports = stream_plans(mc, params.B, [
         table_plan(params, mc, n_points), _nishimori_plan(params, mc), _i_mmse_plan(params)])
     mmse_table, _ = tables
-    J, run, sat = _stalled_saturation(params, Gamma, w, design, mmse_table, tol, max_iters)
+    chains = [coupled_chain(params, Gamma, v, design, mmse_table, tol, max_iters)
+              for v in (w, 2 * w) if v == w or Gamma > 8 * v]
+    J, _, sat = chains[0]
     reports.append(verify_smoothness(sat, design, w))
     reports.append(verify_telescoping(sat, J, params, tables))
     reports.append(verify_basin_exclusion(sat, params, mmse_table, tol))
-    w_list = [v for v in dict.fromkeys((w, 2 * w)) if Gamma > 8 * v]
-    reports.append(shift_potential_scaling(params, Gamma, w_list, tables, design,
-                                           tol, max_iters))
-    reports.append(theorem1_experiment(params, Gamma, w, tables, design, tol, max_iters))
+    reports.append(shift_potential_scaling(params, chains, tables))
+    reports.append(theorem1_experiment(params, chains[0], tables, tol))
     return reports

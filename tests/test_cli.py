@@ -311,17 +311,23 @@ def test_sweep_builds_tables_once_per_section_size(tmp_path, counted_builds):
     assert counted_builds == [4, 8]
 
 
-@pytest.mark.parametrize("command", ["se", "potential", "tables", "thresholds"])
-def test_rate_above_table_span_rejected(tmp_path, command):
-    # the tables end at the largest Sigma a rate of 4C reaches; C = 2 at snr 15
-    with pytest.raises(SystemExit) as exc:
-        _run(tmp_path, command, "--B", "2", "--R", "8.0001", *FAST)
-    assert exc.value.code == 2
-    assert not list(tmp_path.iterdir())
+@pytest.mark.parametrize("command", ["se", "potential", "tables", "thresholds",
+                                     "verify", "sweep"])
+def test_rate_above_table_span_rejected(tmp_path, command, capsys):
+    # the tables span the Sigma of rates in [C/256, 4C]; C = 2 at snr 15.  A
+    # rate below C/256 once wrote potential_curve.csv and then died in
+    # scalar_fixed_points
+    for R in ("8.0001", "0.0078"):
+        with pytest.raises(SystemExit) as exc:
+            _run(tmp_path, command, "--B", "2", "--R", R, *FAST)
+        assert exc.value.code == 2
+        assert "R must lie in [0.00390625, 4] times capacity" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 def test_rate_at_table_span_accepted(tmp_path):
     assert _run(tmp_path, "se", "--B", "2", "--R", "8.0", "--max-iters", "3", *FAST) == 0
+    assert _run(tmp_path, "se", "--B", "2", "--R", "0.0078125", "--max-iters", "3", *FAST) == 0
 
 
 def test_sweep_single_section_size(tmp_path):
@@ -405,6 +411,22 @@ def test_bad_sizes_rejected_before_any_build(tmp_path, args, message, capsys, co
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert counted_builds == [] and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("values", [{"max_iters": 50.0}, {"Gamma": 64.0},
+                                    {"samples": 2000.0}, {"B": 2.0}, {"seed": 1.0},
+                                    {"w": True}], ids=lambda v: next(iter(v)))
+def test_config_integers_type_checked(tmp_path, values, capsys, counted_builds):
+    # JSON floats and booleans once passed validation, then raised TypeError
+    # (some after the table build) or ran and recorded "seed": 1.0 or "w": true
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"B": 4, "samples": 4000, "n_points": 16, **values}))
+    outdir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["thresholds", "--config", str(cfg_path), "--outdir", str(outdir)])
+    assert exc.value.code == 2
+    assert "must be an integer" in capsys.readouterr().err
+    assert counted_builds == [] and not outdir.exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--e-init", "2.5"), ("--e-init", "-1"),

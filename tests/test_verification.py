@@ -7,8 +7,8 @@ from scse import (CoupledParams, ErrorProfile, MCConfig, UnderlyingParams,
                   build_coupling_matrix, build_tables, denoiser, iterate_coupled,
                   iterate_underlying, ones_profile, rectangular_design,
                   saturate_profile, shift, triangular_design)
-from scse.verification import (LemmaReport, i_mmse_report, nishimori_report,
-                               run_suite, shift_potential_scaling,
+from scse.verification import (LemmaReport, coupled_chain, i_mmse_report,
+                               nishimori_report, run_suite, shift_potential_scaling,
                                theorem1_experiment, verify_basin_exclusion,
                                verify_smoothness, verify_telescoping)
 
@@ -123,8 +123,9 @@ def test_i_mmse_report_rejects_half_constant(params_b4):
 
 
 def test_theorem1_experiment_decodes_below_threshold(params_b4, tables_b4):
-    rep = theorem1_experiment(params_b4.with_rate(1.5), 64, 3, tables_b4,
-                              rectangular_design())
+    p = params_b4.with_rate(1.5)
+    chain = coupled_chain(p, 64, 3, rectangular_design(), tables_b4[0])
+    rep = theorem1_experiment(p, chain, tables_b4)
     assert rep.passed
     assert rep.context["delta_F"] > 0
 
@@ -132,14 +133,15 @@ def test_theorem1_experiment_decodes_below_threshold(params_b4, tables_b4):
 def test_theorem1_experiment_stalls_above_coupled_threshold(params_b4, mc_small):
     p = params_b4.with_rate(1.70)
     tabs = build_tables(p, mc_small, n_points=96)
-    rep = theorem1_experiment(p, 64, 3, tabs, rectangular_design())
+    rep = theorem1_experiment(p, coupled_chain(p, 64, 3, rectangular_design(), tabs[0]), tabs)
     assert not rep.passed
     assert rep.measured > rep.bound
 
 
 def test_shift_potential_scaling_trivial_when_decoding(params_b4, tables_b4):
-    rep = shift_potential_scaling(params_b4.with_rate(1.5), 64, [2, 3], tables_b4,
-                                  rectangular_design())
+    p = params_b4.with_rate(1.5)
+    chains = [coupled_chain(p, 64, w, rectangular_design(), tables_b4[0]) for w in (2, 3)]
+    rep = shift_potential_scaling(p, chains, tables_b4)
     assert rep.passed
     assert all(row["decoded"] for row in rep.context["rows"])
 
@@ -149,7 +151,8 @@ def test_shift_potential_scaling_mixed_regime_fails(params_b4, mc_small):
     # requires a uniform stall and must say so
     p = params_b4.with_rate(1.70)
     tabs = build_tables(p, mc_small, n_points=96)
-    rep = shift_potential_scaling(p, 64, [3, 6], tabs, rectangular_design())
+    chains = [coupled_chain(p, 64, w, rectangular_design(), tabs[0]) for w in (3, 6)]
+    rep = shift_potential_scaling(p, chains, tabs)
     decoded = [row.get("decoded") for row in rep.context["rows"]]
     if all(d is False for d in decoded):
         pytest.skip("both widths stalled with these tables; regime is uniform")
@@ -164,6 +167,59 @@ def test_run_suite_names_and_pass(params_b2, mc_small):
                      "basin_exclusion", "shift_potential_scaling",
                      "theorem1_decoding"]
     assert all(r.passed for r in reports)
+
+
+# run_suite(B=4, R=1.7, Gamma=64, w=3) on the seed-0, 20000-sample, 64-node
+# tables: the w=3 chain stalls after 117 steps and the w=6 chain decodes.
+# Recorded while each check still ran its own chain.
+FROZEN_STALLED = {
+    "telescoping_lhs": "0.028940438434318594",
+    "telescoping_rhs": "0.028940438434314375",
+    "basin_exclusion": "0.33247780434994656",
+    "dFc_w3": "0.028940438434318594",
+    "theorem1_measured": "0.33930847219381965",
+    "theorem1_iterations": 117,
+}
+
+
+@pytest.fixture(scope="module")
+def stalled_suite():
+    """The stalled run_suite's reports by name, and the (Gamma, w) of each
+    coupled_decode call it made."""
+    import scse.verification as verification
+    real = verification.coupled_decode
+    seen = []
+
+    def spying(J, *args, **kwargs):
+        seen.append((J.Gamma, J.w))
+        return real(J, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verification, "coupled_decode", spying)
+        reports = run_suite(UnderlyingParams(B=4, R=1.7, sigma2=SIGMA2), 64, 3,
+                            rectangular_design(), MCConfig(seed=0, n_samples=20_000),
+                            n_points=64)
+    return {r.name: r for r in reports}, seen
+
+
+def test_run_suite_runs_each_chain_once(stalled_suite):
+    # the w=3 chain feeds smoothness, telescoping, basin exclusion and
+    # Theorem 1; the shift scaling reads it next to the w=6 chain
+    _, seen = stalled_suite
+    assert seen == [(64, 3), (64, 6)]
+
+
+def test_run_suite_stalled_numbers_frozen(stalled_suite):
+    reports, _ = stalled_suite
+    tele, thm = reports["telescoping"], reports["theorem1_decoding"]
+    rows = reports["shift_potential_scaling"].context["rows"]
+    assert [row["decoded"] for row in rows] == [False, True]
+    assert {"telescoping_lhs": repr(tele.context["lhs"]),
+            "telescoping_rhs": repr(tele.context["rhs"]),
+            "basin_exclusion": repr(reports["basin_exclusion"].measured),
+            "dFc_w3": repr(rows[0]["dFc"]),
+            "theorem1_measured": repr(thm.measured),
+            "theorem1_iterations": thm.context["iterations"]} == FROZEN_STALLED
 
 
 @pytest.mark.parametrize("seed", [5, 6])
@@ -219,9 +275,9 @@ def test_run_suite_shares_one_pass(mc_layout, monkeypatch, serial_untiled_tables
     import scse.verification as verification
     seen = []
 
-    def spying(params, Gamma, w, tables, *args, **kwargs):
+    def spying(params, chain, tables, *args, **kwargs):
         seen.append(tables)
-        return theorem1_experiment(params, Gamma, w, tables, *args, **kwargs)
+        return theorem1_experiment(params, chain, tables, *args, **kwargs)
 
     monkeypatch.setattr(verification, "theorem1_experiment", spying)
     reports = run_suite(B16, 32, 2, rectangular_design(), MC_TWO_CHUNKS, n_points=32)
