@@ -267,6 +267,14 @@ def _common_parser() -> argparse.ArgumentParser:
     return parent
 
 
+def _check(cfg: RunConfig) -> RunConfig:
+    """Build every parameter object and the table plan, so that a bad value
+    raises before any work."""
+    CoupledParams(cfg.params(), cfg.Gamma, cfg.w, cfg.design_fn())
+    table_plan(cfg.params(), cfg.mc(), cfg.n_points)
+    return cfg
+
+
 def _resolve_config(args: argparse.Namespace,
                     parser: argparse.ArgumentParser) -> RunConfig:
     values = {}
@@ -285,13 +293,9 @@ def _resolve_config(args: argparse.Namespace,
         if flag_val is not None:
             values[dest] = flag_val
     try:
-        cfg = RunConfig(**values)
-        # build every parameter object and the table plan: a bad value exits 2 before any work
-        CoupledParams(cfg.params(), cfg.Gamma, cfg.w, cfg.design_fn())
-        table_plan(cfg.params(), cfg.mc(), cfg.n_points)
+        return _check(RunConfig(**values))
     except (ValueError, TypeError) as exc:
         parser.error(str(exc))
-    return cfg
 
 
 def main(argv=None) -> int:
@@ -343,6 +347,11 @@ def main(argv=None) -> int:
             parser.error("--B-list must be comma-separated integers")
         if not b_list:
             parser.error("--B-list is empty")
+        for B in b_list:
+            try:
+                _check(replace(cfg, B=B))
+            except (ValueError, TypeError) as exc:
+                parser.error(f"--B-list entry {B}: {exc}")
         return cmd_sweep(cfg, b_list)
     parser.error(f"unknown command {args.command!r}")
 

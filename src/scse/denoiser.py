@@ -19,19 +19,18 @@ stream_moments runs the per-chunk jobs of every estimator on a thread pool
 sized to the CPUs the process may use (numpy releases the interpreter lock in
 its loops).  Each statistic's chunk sum is the same numpy call on the same
 array whichever thread makes it, and the sums are added in stream order, so
-results are bit-identical for any worker count.  gaussian_block draws its
-row tiles on the same pool.
+results are bit-identical for any worker count.  The pool runs only these
+jobs: gaussian_block draws each chunk on the calling thread first.
 
 Each estimator is a Plan: its stream_moments jobs plus a finish step that
 maps their (means, stderrs) to its result.  stream_plans runs several plans
 in one pass over the stream and keeps each job's sums apart, so every finish
 step gets its own jobs' statistics and `scse verify` draws each Gaussian row
 once for its tables and both identity checks; a statistic's chunk sums are
-the same whichever plans share the pass.  Per chunk, stream_moments also forms two row vectors of the
-block, max_{j>1} z_j and min_j z_j, and hands them to every job: they do not
-depend on Sigma, so section_stats reads them instead of reducing z's off
-columns again at every node, and uses the row minimum to skip its clip pass
-on tiles where the clip cannot change a score.
+the same whichever plans share the pass.  Per chunk, stream_moments also
+forms the row vector max_{j>1} z_j of the block and hands it to every job as
+its bounds: it does not depend on Sigma, so section_stats reads it instead of
+reducing z's off columns again at every node.
 
 section_stats allocates nothing per tile: each thread keeps one score buffer
 and two row vectors across tiles and calls, every pass writes in place or
@@ -75,14 +74,12 @@ from .ensemble import RATE_CAP, RATE_FLOOR, UnderlyingParams, atomic_write, capa
 
 DEFAULT_N_POINTS = 256  # nodes of a lookup table's Sigma grid
 _CHUNK = 65536  # fixed so accumulation order never depends on n_samples
-# elements per row tile of the sampling loop (4096 rows at B=16): 512 KB of
-# uniform words, so each tile's ndtri passes and temporaries stay small
-_TILE = 65536
-# the kernel's budget in doubles per tile: _KERNEL_TILE // (B + 2) rows, so a
-# tile's column-major scores and its two row vectors fill 1 MB at any B and
-# stay in a 2 MB L2 cache.  Against 512 KB tiles this halves the per-tile
-# interpreter and lock hand-off overhead, which costs a pooled B=16 build
-# about a fifth of its time.  Row results depend on neither tile.
+# the budget in doubles per row tile of the sampling loop and the kernel:
+# _KERNEL_TILE // (B + 2) rows, so a kernel tile's column-major scores and its
+# two row vectors fill 1 MB at any B and stay in a 2 MB L2 cache.  Against
+# 512 KB tiles this halves the per-tile interpreter and lock hand-off
+# overhead, which costs a pooled B=16 build about a fifth of its time.  Row
+# results do not depend on the tile.
 _KERNEL_TILE = 131072
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -123,8 +120,9 @@ def _chunks(n):
 
 
 def _tiles(start: int, stop: int, B: int):
-    """Row ranges of about _TILE elements each, covering rows start..stop-1."""
-    step = max(1, _TILE // B)
+    """Row ranges of _KERNEL_TILE // (B + 2) rows, the last maybe shorter,
+    covering rows start..stop-1."""
+    step = max(1, _KERNEL_TILE // (B + 2))
     for a in range(start, stop, step):
         yield a, min(a + step, stop)
 
@@ -252,26 +250,20 @@ def _ndtri(p: np.ndarray) -> np.ndarray:
     return x
 
 
-def _draw_tile(z: np.ndarray, seed: int, B: int, start: int, rows: tuple) -> None:
-    """Draw rows a..b-1 of the stream into z, the block that starts at start."""
-    a, b = rows
-    u = _uniform_words(seed, a * B, (b - a) * B)
-    np.maximum(u, 1e-300, out=u)
-    z[a - start:b - start] = _ndtri(u).reshape(b - a, B)
-
-
 def gaussian_block(seed: int, B: int, start: int, stop: int) -> np.ndarray:
     """Rows start..stop-1 of the deterministic sample-by-sample normal stream.
 
     The (rows, B) block is column-major, so each component is one contiguous
     column and section_stats reduces across components column by column.  It
-    is drawn tile by tile on the Monte-Carlo pool; the tiles are disjoint and
-    each is drawn on its own, so the block does not depend on the workers,
-    and only one tile of uniform words per worker is alive at once.
+    is drawn tile by tile (_tiles) on the calling thread, so only one tile of
+    uniform words is alive at once; each tile reads its own words, so the
+    block does not depend on the tile.
     """
     z = np.empty((stop - start, B), order="F")
-    mapper = map if _WORKERS == 1 else _executor(_WORKERS).map
-    list(mapper(functools.partial(_draw_tile, z, seed, B, start), _tiles(start, stop, B)))
+    for a, b in _tiles(start, stop, B):
+        u = _uniform_words(seed, a * B, (b - a) * B)
+        np.maximum(u, 1e-300, out=u)
+        z[a - start:b - start] = _ndtri(u).reshape(b - a, B)
     return z
 
 
@@ -313,13 +305,14 @@ def _decided_margin(B: int) -> float:
     return 53 * math.log(2) + math.log(B) + 1.0
 
 
-def _row_bounds(z: np.ndarray) -> tuple:
-    """(max_{j>1} z_j, min_j z_j) of every row of a block: section_stats'
-    bounds, which stream_moments forms once per chunk."""
-    return np.max(z[:, 1:], axis=1), np.min(z, axis=1)
+def _row_bounds(z: np.ndarray) -> np.ndarray:
+    """max_{j>1} z_j of every row of a block: section_stats' bounds, which
+    stream_moments forms once per chunk."""
+    return np.max(z[:, 1:], axis=1)
 
 
-def section_stats(z: np.ndarray, sigma: float, B: int, bounds: tuple | None = None) -> dict:
+def section_stats(z: np.ndarray, sigma: float, B: int,
+                  bounds: np.ndarray | None = None) -> dict:
     """Per-sample squared error, entropy summand and true-component weight.
 
     One exp pass over the shifted scores e = exp(u - max u) serves all three
@@ -327,18 +320,17 @@ def section_stats(z: np.ndarray, sigma: float, B: int, bounds: tuple | None = No
       f1:      posterior weight of the transmitted component, e_1 / sum e
       mmse:    sum_i (f_i - s_i)^2 = sum e^2 / (sum e)^2 - 2 f_1 + 1
       entropy: log_B of the posterior-odds sum = (log sum e - (u_1 - max u))/ln(B)
-    The rows are walked in tiles of _KERNEL_TILE // (B + 2) rows, in the
-    calling thread's scratch: a column-major score buffer and two row
+    The rows are walked in tiles of _KERNEL_TILE // (B + 2) rows (_tiles), in
+    the calling thread's scratch: a column-major score buffer and two row
     vectors, about 1 MB, sized min(tile rows, n) and kept across tiles and
     calls.  Each pass writes in place or through out=, and the row results
     (u_1 - max u, sum e^2, f1) go straight into the output slices, so a tile
     allocates nothing.  numpy reduces a column-major tile across components
     one column at a time, so no row depends on the tiling.
 
-    bounds is the pair (max_{j>1} z_j, min_j z_j) of row vectors over all
-    of z, as stream_moments forms them once per chunk (_row_bounds).  They
-    do not depend on Sigma, so every node of a chunk shares them; a call
-    without them forms them from z first.
+    bounds is the row vector max_{j>1} z_j over all of z, as stream_moments
+    forms it once per chunk (_row_bounds).  It does not depend on Sigma, so
+    every node of a chunk shares it; a call without it forms it from z first.
 
     Decided tiles skip the kernel.  A row is decided when u_1 and
     max_{j>1} u_j are finite and max_{j>1} u_j - u_1 <= -M, with
@@ -355,32 +347,20 @@ def section_stats(z: np.ndarray, sigma: float, B: int, bounds: tuple | None = No
     end of a table grid most tiles are decided.  A NaN or +inf in z, or a
     -inf in its first column or in all of its others, keeps a row
     undecided.  A -inf off entry below a finite row max does not; the full
-    passes give that row the same exact zeros, as they clip its shifted
-    score to -300.
-
-    The clip is skipped exactly when it cannot change a score.  By the same
-    monotonicity, with d > 0, every score of a tile is at least
-    fl(c min_j z_j) over its rows, and every row max at most the tile's
-    largest, so every shifted score is at least fl(fl(c min z) - max max u).
-    When that bound is > -300, clipping at -300 leaves every score as it
-    is.  A NaN or -inf bound runs the clip.
+    passes give that row the same exact zeros, since exp(-inf) = 0.
 
     z is left untouched.  The three outputs are the rows of one new (3, n)
     block, so they share memory with no other call's; a caller that keeps
     one of them keeps all three alive.
     """
     n = z.shape[0]
-    if bounds is None:
-        bounds = _row_bounds(z)
-    off_max, row_min = bounds
+    off_max = _row_bounds(z) if bounds is None else bounds
     sq, ent, f1 = np.empty((3, n))
-    step = max(1, _KERNEL_TILE // (B + 2))
-    scores, r1, r2 = _kernel_scratch(min(step, n), B)
+    scores, r1, r2 = _kernel_scratch(min(max(1, _KERNEL_TILE // (B + 2)), n), B)
     c, d = _score_scales(sigma, B)
     margin = -_decided_margin(B)
     ln_b = math.log(B)
-    for a in range(0, n, step):
-        b = min(a + step, n)
+    for a, b in _tiles(0, n, B):
         zt = z[a:b]
         mx, tot = r1[:b - a], r2[:b - a]
         s, e, f = sq[a:b], ent[a:b], f1[a:b]
@@ -400,12 +380,6 @@ def section_stats(z: np.ndarray, sigma: float, B: int, bounds: tuple | None = No
         _scores(zt, sigma, B, out=u)
         u -= mx[:, None]
         e[:] = u[:, 0]  # u_1 - max u, until the entropy is formed below
-        # exp(-300) < 1e-130 is lost against the largest term exp(0) = 1 in
-        # every sum below, and 1 - f1 rounds to 1 either way; clipping only
-        # keeps exp and the squares out of the slow underflow and subnormal
-        # range at small sigma, and is skipped when no score is below -300
-        if not c * float(row_min[a:b].min()) - float(mx.max()) > -300.0:
-            np.maximum(u, -300.0, out=u)
         np.exp(u, out=u)
         np.sum(u, axis=1, out=tot)
         np.divide(u[:, 0], tot, out=f)
@@ -498,8 +472,8 @@ def stream_moments(mc: MCConfig, B: int, jobs) -> tuple:
     Each job maps a Gaussian block z of the (seed, n_samples) stream and its
     row bounds to an iterable of per-sample arrays, always the same number
     in the same order; the statistics are the jobs' arrays in job order.
-    The bounds, (max_{j>1} z_j, min_j z_j) per row (_row_bounds), are formed
-    once per chunk for every job to pass to section_stats.  The jobs of one
+    The bounds, max_{j>1} z_j per row (_row_bounds), are formed once per
+    chunk for every job to pass to section_stats.  The jobs of one
     chunk run concurrently; each statistic sums its chunks in stream order,
     so the result depends neither on the chunking nor on the worker count.
     The pool is made on first use, not at import.

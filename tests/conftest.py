@@ -11,10 +11,9 @@ SIGMA2 = 1.0 / 15.0  # snr 15 throughout the shared fixtures
 MC_TWO_CHUNKS = MCConfig(seed=7, n_samples=70_001)
 
 
-def _set_layout(mp, workers, tile, kernel_tile):
+def _set_layout(mp, workers, tile):
     mp.setattr(denoiser, "_WORKERS", workers)
-    mp.setattr(denoiser, "_TILE", tile)
-    mp.setattr(denoiser, "_KERNEL_TILE", kernel_tile)
+    mp.setattr(denoiser, "_KERNEL_TILE", tile)
 
 
 @contextlib.contextmanager
@@ -22,20 +21,20 @@ def serial_untiled():
     """One worker and one tile per chunk: the loop structure with neither
     threads nor tiles, the reference every layout must reproduce bit for bit."""
     with pytest.MonkeyPatch.context() as mp:
-        _set_layout(mp, 1, 2 ** 40, 2 ** 40)
+        _set_layout(mp, 1, 2 ** 40)
         yield
 
 
-@pytest.fixture(params=[(1, 65536, 131072), (1, 80000, 147456), (2, 65536, 20000),
-                        (2, 80000, 131072), (3, 80000, 147456)],
+@pytest.fixture(params=[(1, 65536), (1, 80000), (2, 65536), (2, 80000), (3, 80000),
+                        (2, 147456), (3, 20000)],
                 ids=lambda p: f"workers{p[0]}-tile{p[1]}")
 def mc_layout(request, monkeypatch):
-    """Worker count, sampling tile and kernel tile (elements) of the
-    Monte-Carlo loops.  At B=16 the sampling tiles are 4096 rows, which
-    divide the chunk, and 5000 rows, which do not (16384 and 20000 rows at
-    B=4); the kernel tiles, _KERNEL_TILE // (B + 2) rows, are 7281, 8192 and
-    1111 rows at B=16 (21845, 24576 and 3333 at B=4), and only 8192 divides
-    the chunk.  3 workers do not divide a table's 16 node jobs."""
+    """Worker count and tile (elements) of the Monte-Carlo loops.  Both the
+    sampling loop and the kernel walk _KERNEL_TILE // (B + 2) rows per tile:
+    3640, 4444, 8192 and 1111 rows at B=16 (10922, 13333, 24576 and 3333 at
+    B=4, 16384 at B=2 for the first), and of these only 8192 rows at B=16 and
+    16384 at B=2 divide the chunk.  3 workers do not divide a table's 16 node
+    jobs."""
     _set_layout(monkeypatch, *request.param)
     return request.param
 

@@ -311,6 +311,20 @@ def test_sweep_builds_tables_once_per_section_size(tmp_path, counted_builds):
     assert counted_builds == [4, 8]
 
 
+@pytest.mark.parametrize("b_list", ["4,1", "4,0", "4,-2"])
+def test_sweep_bad_section_size_rejected_before_any_build(tmp_path, b_list, capsys,
+                                                          counted_builds):
+    # a bad entry after a good one once built and solved B=4, then died with
+    # a ValueError traceback and wrote no sweep.csv
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--B-list", b_list, "--tol-R", "0.1", "--gamma", "48", "--w", "2",
+              "--samples", "2000", "--n-points", "16", "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    bad = b_list.split(",")[1]
+    assert f"--B-list entry {bad}: section size B must be an integer >= 2" in capsys.readouterr().err
+    assert counted_builds == [] and not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command", ["se", "potential", "tables", "thresholds",
                                      "verify", "sweep"])
 def test_rate_above_table_span_rejected(tmp_path, command, capsys):
