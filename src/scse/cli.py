@@ -311,8 +311,9 @@ def main(argv=None) -> int:
                           help="run a state-evolution recursion and dump its trace")
     p_se.add_argument("--mode", choices=["underlying", "coupled"],
                       default="underlying")
-    p_se.add_argument("--e-init", type=float, default=1.0,
-                      help="starting error for the underlying recursion, in [0, 1]")
+    p_se.add_argument("--e-init", type=float, default=None,
+                      help="starting error of --mode underlying, in [0, 1] "
+                           "(default 1); --mode coupled starts from all ones")
     sub.add_parser("potential", parents=[common],
                    help="tabulate the potential curve and the free-energy gap")
     sub.add_parser("thresholds", parents=[common],
@@ -330,9 +331,12 @@ def main(argv=None) -> int:
         return cmd_tables(cfg)
     if args.command == "se":
         _require_rate(cfg, parser)
-        if not 0.0 <= args.e_init <= 1.0:
+        if args.mode == "coupled" and args.e_init is not None:
+            parser.error("--e-init applies to --mode underlying only")
+        e_init = 1.0 if args.e_init is None else args.e_init
+        if not 0.0 <= e_init <= 1.0:
             parser.error("--e-init must lie in [0, 1]")
-        return cmd_se(cfg, args.mode, args.e_init)
+        return cmd_se(cfg, args.mode, e_init)
     if args.command == "potential":
         _require_rate(cfg, parser)
         return cmd_potential(cfg)

@@ -28,26 +28,34 @@ in one pass over the stream and keeps each job's sums apart, so every finish
 step gets its own jobs' statistics and `scse verify` draws each Gaussian row
 once for its tables and both identity checks; a statistic's chunk sums are
 the same whichever plans share the pass.  Per chunk, stream_moments also
-forms the row vector max_{j>1} z_j of the block and hands it to every job as
-its bounds: it does not depend on Sigma, so section_stats reads it instead of
-reducing z's off columns again at every node.
+forms the block's bounds (_row_bounds) and hands them to every job: the row
+vector max_{j>1} z_j, and per kernel tile the largest max_{j>1} z_j - z_1
+over its rows.  Neither depends on Sigma, so section_stats reads them instead
+of reducing z's off columns again at every node.
 
-section_stats allocates nothing per tile: each thread keeps one score buffer
-and two row vectors across tiles and calls, every pass writes in place or
-through out=, and the row results go straight into the outputs.  The
-outputs of one call are the rows of one new block.  glibc's malloc would
-return the pages of three separate 512 KB arrays after every call and fault
-them back in on the next, until the first freed 8 MB Gaussian block raises
-its trim threshold; a freed 1.5 MB block raises it at once.
+section_stats forms only the statistics its caller names (mmse, entropy,
+f1): a table node reads mmse and entropy, a Nishimori point mmse and f1, an
+I-MMSE difference one entropy at a time.  It allocates nothing per tile:
+each thread keeps one score buffer and two row vectors across tiles and
+calls, every pass writes in place or through out=, and the row results go
+straight into the outputs.  The statistics of one call are the rows of one
+new block.  glibc's malloc would return the pages of separate 512 KB arrays
+after every call and fault them back in on the next, until the first freed
+8 MB Gaussian block raises its trim threshold; a freed block of all of them
+raises it at once.
 
 section_stats skips every kernel tile whose rows are decided: each off
 score sits so far below the transmitted one (_decided_margin) that the
 posterior is the transmitted index to machine precision, and the full passes
-would give exactly mmse = entropy = 0 and f1 = 1.  The test reads the
+would give exactly mmse = entropy = 0 and f1 = 1.  The row test reads the
 chunk's row maxima over z's off columns and is exact, not statistical (see
-section_stats).  At the low-noise end of a table's grid, where the floor E0
-and the pinned boundary blocks of the coupled chain sit, about two fifths of
-a table build's tile-rows are decided.
+section_stats).  The per-tile statistic of the bounds settles almost every
+tile at a Sigma without that test: it calls a tile decided only where every
+row is, with a rounding allowance delta derived in section_stats, and leaves
+the few tiles within delta of the margin to the row test.  At the low-noise
+end of a table's grid, where the floor E0 and the pinned boundary blocks of
+the coupled chain sit, about two fifths of a table build's tile-rows are
+decided.
 
 The inverse normal CDF is _ndtri, a numpy port of the Cephes ndtri (Cephes
 Math Library, Copyright 1984-2002 Stephen L. Moshier) as scipy 1.17 ships it
@@ -305,14 +313,53 @@ def _decided_margin(B: int) -> float:
     return 53 * math.log(2) + math.log(B) + 1.0
 
 
-def _row_bounds(z: np.ndarray) -> np.ndarray:
-    """max_{j>1} z_j of every row of a block: section_stats' bounds, which
-    stream_moments forms once per chunk."""
-    return np.max(z[:, 1:], axis=1)
+# |z_1| and row off maxima up to which a tile statistic is read; the sampler's
+# rows stay within 38 (ndtri of its smallest word, 1e-300, is -37.0)
+_Z_CAP = 64.0
+_STATS = ("mmse", "entropy", "f1")
 
 
-def section_stats(z: np.ndarray, sigma: float, B: int,
-                  bounds: np.ndarray | None = None) -> dict:
+class RowBounds(NamedTuple):
+    """section_stats' bounds for a block z (_row_bounds)."""
+
+    off_max: np.ndarray    # max_{j>1} z_j of every row
+    tile_gap: np.ndarray   # per kernel tile, the largest off_max - z_1; NaN: test the rows
+
+
+def _row_bounds(z: np.ndarray) -> RowBounds:
+    """The row maxima over z's off columns and, per kernel tile (_tiles), the
+    largest fl(max_{j>1} z_j - z_1) over its rows, NaN where a |z_1| or an
+    off maximum of the tile exceeds _Z_CAP or is not finite.  stream_moments
+    forms them once per chunk."""
+    off_max = np.max(z[:, 1:], axis=1)
+    z1 = z[:, 0]
+    starts = [a for a, _ in _tiles(0, len(z), z.shape[1])]
+    gap = np.maximum.reduceat(off_max - z1, starts)
+    size = np.abs(off_max)
+    np.maximum(size, np.abs(z1), out=size)
+    gap[~(np.maximum.reduceat(size, starts) <= _Z_CAP)] = math.nan
+    return RowBounds(off_max, gap)
+
+
+def _tile_verdicts(tile_gap: np.ndarray, c: float, d: float, B: int) -> list:
+    """Per kernel tile, from its statistic g: True when every row is decided,
+    False when some row is not, None when the rows must be tested (see
+    section_stats for delta and the guard on c Z + d)."""
+    margin = _decided_margin(B)
+    span = c * _Z_CAP + d
+    if not span < 2.0 ** 1000:
+        return [None] * len(tile_gap)
+    delta = (span + margin) * 2.0 ** -49
+    lo, hi = -margin - delta, -margin + delta
+    verdicts = []
+    for g in tile_gap.tolist():
+        G = c * g - d  # NaN for a NaN g, and then neither test holds
+        verdicts.append(True if G <= lo else False if G > hi else None)
+    return verdicts
+
+
+def section_stats(z: np.ndarray, sigma: float, B: int, bounds: RowBounds | None = None,
+                  keys: tuple = _STATS) -> dict:
     """Per-sample squared error, entropy summand and true-component weight.
 
     One exp pass over the shifted scores e = exp(u - max u) serves all three
@@ -320,80 +367,127 @@ def section_stats(z: np.ndarray, sigma: float, B: int,
       f1:      posterior weight of the transmitted component, e_1 / sum e
       mmse:    sum_i (f_i - s_i)^2 = sum e^2 / (sum e)^2 - 2 f_1 + 1
       entropy: log_B of the posterior-odds sum = (log sum e - (u_1 - max u))/ln(B)
+    Only the statistics named in keys are formed; they come back, in that
+    order, as the rows of one new (len(keys), n) block, so they share memory
+    with no other call's.  Without "mmse" the square, its sum and the five
+    row operations after it are skipped; without "entropy" the copy of
+    u_1 - max u, the log, the subtraction and the division; without both
+    "mmse" and "f1" the division that forms f1, which mmse alone forms in
+    the thread's scratch.  Each statistic's bits do not depend on which
+    others are asked for.
+
     The rows are walked in tiles of _KERNEL_TILE // (B + 2) rows (_tiles), in
     the calling thread's scratch: a column-major score buffer and two row
     vectors, about 1 MB, sized min(tile rows, n) and kept across tiles and
-    calls.  Each pass writes in place or through out=, and the row results
-    (u_1 - max u, sum e^2, f1) go straight into the output slices, so a tile
-    allocates nothing.  numpy reduces a column-major tile across components
-    one column at a time, so no row depends on the tiling.
+    calls.  Each pass writes in place or through out=, and the row results go
+    straight into the output slices, so a tile allocates nothing.  numpy
+    reduces a column-major tile across components one column at a time, so
+    no row depends on the tiling.
 
-    bounds is the row vector max_{j>1} z_j over all of z, as stream_moments
-    forms it once per chunk (_row_bounds).  It does not depend on Sigma, so
-    every node of a chunk shares it; a call without it forms it from z first.
+    bounds is what stream_moments forms once per chunk (_row_bounds): the row
+    vector max_{j>1} z_j over all of z and a statistic g per kernel tile.
+    Neither depends on Sigma, so every node of a chunk shares them.  A call
+    without bounds forms the row vector from z and reads no tile statistic.
 
     Decided tiles skip the kernel.  A row is decided when u_1 and
     max_{j>1} u_j are finite and max_{j>1} u_j - u_1 <= -M, with
     M = _decided_margin(B).  Then max u = u_1 and sum e = sum e^2 = 1, so
     the passes below give exactly f1 = 1, mmse = 1 - 2 + 1 = +0.0 and
-    entropy = (log 1 - 0)/ln(B) = +0.0.  The test is exact: c =
+    entropy = (log 1 - 0)/ln(B) = +0.0.  The row test is exact: c =
     sqrt(log2 B)/Sigma > 0 and rounding is monotone, so max_{j>1} fl(c z_j)
     = fl(c max_{j>1} z_j), and every shifted off score fl(u_j - u_1) is at
     most fl(fl(c max_{j>1} z_j) - u_1).  That bound is formed per row from
     the off maxima.  When it is <= -M on every row of a tile, the tile's
     outputs are written as (+0.0, +0.0, 1.0) and nothing else runs.  Any
     other tile runs the full passes, with max u = max(fl(c max_{j>1} z_j),
-    u_1), the same value bit for bit as a row max over u.  At the low-noise
-    end of a table grid most tiles are decided.  A NaN or +inf in z, or a
-    -inf in its first column or in all of its others, keeps a row
+    u_1), the same value bit for bit as a row max over u.  A NaN or +inf in
+    z, or a -inf in its first column or in all of its others, keeps a row
     undecided.  A -inf off entry below a finite row max does not; the full
     passes give that row the same exact zeros, since exp(-inf) = 0.
 
-    z is left untouched.  The three outputs are the rows of one new (3, n)
-    block, so they share memory with no other call's; a caller that keeps
-    one of them keeps all three alive.
+    The tile statistic settles almost every tile without the row test.  g
+    is the largest fl(m - z_1) over the tile's rows, m = max_{j>1} z_j, and
+    G = fl(fl(c g) - d).  A tile is decided when G <= fl(-M - delta), and
+    goes to the full passes untested when G > fl(-M + delta); the full
+    passes are exact on any tile, so that branch needs no proof.  Otherwise
+    the row test runs, as it does for a NaN g: _row_bounds gives a tile NaN
+    when a |z_1| or an m exceeds Z = _Z_CAP or is not finite.  No statistic
+    is read unless c Z + d < 2^1000, so every score the row test would form
+    is finite.  With eps = 2^-53 and |m|, |z_1| <= Z on every row:
+      - the row test's fl(fl(c m) - fl(fl(c z_1) + d)) lies within
+        eps (5 c Z + 2 d)(1 + eps)^2 of c (m - z_1) - d;
+      - fl(m - z_1) <= g, so m - z_1 <= g + 2 eps Z;
+      - G lies within eps (4 c Z + d)(1 + eps)^2 of c g - d.
+    So every row's test value is at most G + eps (11 c Z + 3 d)(1 + eps)^2,
+    and fl(-M - delta) is at most -M - delta + eps (M + delta).  Every row
+    is then decided once delta (1 - eps) >= eps (M + (11 c Z + 3 d)
+    (1 + eps)^2), which delta = 2^-49 (c Z + d + M) = 16 eps (c Z + d + M)
+    meets with room for its own rounding and for the absolute errors, below
+    2^-1074 each, of any product that underflows.  The same bounds taken
+    from below show that a tile with G > fl(-M + delta) has an undecided
+    row, the one whose fl(m - z_1) is g, so both branches agree with the row
+    test.
+
+    z is left untouched.
     """
+    if not set(keys) <= set(_STATS) or len(set(keys)) < len(keys):
+        raise ValueError(f"keys must be distinct names from {_STATS}, got {keys!r}")
     n = z.shape[0]
-    off_max = _row_bounds(z) if bounds is None else bounds
-    sq, ent, f1 = np.empty((3, n))
-    scores, r1, r2 = _kernel_scratch(min(max(1, _KERNEL_TILE // (B + 2)), n), B)
     c, d = _score_scales(sigma, B)
+    tiles = list(_tiles(0, n, B))
+    if bounds is None:
+        off_max, verdicts = np.max(z[:, 1:], axis=1), [None] * len(tiles)
+    else:
+        off_max, verdicts = bounds.off_max, _tile_verdicts(bounds.tile_gap, c, d, B)
+    block = np.empty((len(keys), n))
+    out = dict(zip(keys, block))
+    sq, ent, f1 = (out.get(key) for key in _STATS)
+    fill = np.array([[1.0 if key == "f1" else 0.0] for key in keys])
+    scores, r1, r2 = _kernel_scratch(min(max(1, _KERNEL_TILE // (B + 2)), n), B)
     margin = -_decided_margin(B)
     ln_b = math.log(B)
-    for a, b in _tiles(0, n, B):
+    for (a, b), decided in zip(tiles, verdicts, strict=True):
         zt = z[a:b]
         mx, tot = r1[:b - a], r2[:b - a]
-        s, e, f = sq[a:b], ent[a:b], f1[a:b]
-        np.multiply(off_max[a:b], c, out=mx)  # max_{j>1} u_j
-        np.multiply(zt[:, 0], c, out=tot)
-        tot += d  # u_1
-        np.subtract(mx, tot, out=s)
-        # a NaN or +inf anywhere, or -inf in u_1, fails the first test, and
-        # u_1 = +inf or every u_j = -inf the second (see the docstring)
-        if s.max() <= margin and s.min() > -math.inf:
-            s[:] = 0.0
-            e[:] = 0.0
-            f[:] = 1.0
+        if decided is not True:
+            np.multiply(off_max[a:b], c, out=mx)  # max_{j>1} u_j
+            np.multiply(zt[:, 0], c, out=tot)
+            tot += d  # u_1
+        if decided is None:
+            gap = np.subtract(mx, tot, out=scores[:b - a])
+            # a NaN or +inf anywhere, or -inf in u_1, fails the first test, and
+            # u_1 = +inf or every u_j = -inf the second (see the docstring)
+            decided = gap.max() <= margin and gap.min() > -math.inf
+        if decided:
+            block[:, a:b] = fill
             continue
         np.maximum(mx, tot, out=mx)
         u = scores[:(b - a) * B].reshape(b - a, B, order="F")
         _scores(zt, sigma, B, out=u)
         u -= mx[:, None]
-        e[:] = u[:, 0]  # u_1 - max u, until the entropy is formed below
+        if ent is not None:
+            e = ent[a:b]
+            e[:] = u[:, 0]  # u_1 - max u, until the entropy is formed below
         np.exp(u, out=u)
         np.sum(u, axis=1, out=tot)
-        np.divide(u[:, 0], tot, out=f)
-        np.square(u, out=u)
-        np.sum(u, axis=1, out=s)  # sum e^2
-        np.multiply(tot, tot, out=mx)
-        s /= mx
-        np.multiply(2.0, f, out=mx)
-        s -= mx
-        s += 1.0
-        np.log(tot, out=tot)
-        np.subtract(tot, e, out=e)
-        e /= ln_b
-    return {"mmse": sq, "entropy": ent, "f1": f1}
+        if sq is not None or f1 is not None:
+            f = mx if f1 is None else f1[a:b]  # mx is spent once u is shifted
+            np.divide(u[:, 0], tot, out=f)
+        if sq is not None:
+            s = sq[a:b]
+            np.square(u, out=u)
+            np.sum(u, axis=1, out=s)  # sum e^2
+            tmp = scores[:b - a]  # u is spent
+            np.multiply(tot, tot, out=tmp)
+            s /= tmp
+            np.multiply(2.0, f, out=tmp)
+            s -= tmp
+            s += 1.0
+        if ent is not None:
+            np.log(tot, out=tot)
+            np.subtract(tot, e, out=e)
+            e /= ln_b
+    return out
 
 
 def denoise_section(z, sigma_eff: float, B: int) -> np.ndarray:
@@ -472,8 +566,9 @@ def stream_moments(mc: MCConfig, B: int, jobs) -> tuple:
     Each job maps a Gaussian block z of the (seed, n_samples) stream and its
     row bounds to an iterable of per-sample arrays, always the same number
     in the same order; the statistics are the jobs' arrays in job order.
-    The bounds, max_{j>1} z_j per row (_row_bounds), are formed once per
-    chunk for every job to pass to section_stats.  The jobs of one
+    The bounds (_row_bounds: the row maxima over z's off columns and one
+    statistic per kernel tile) are formed once per chunk for every job to
+    pass to section_stats.  The jobs of one
     chunk run concurrently; each statistic sums its chunks in stream order,
     so the result depends neither on the chunking nor on the worker count.
     The pool is made on first use, not at import.
@@ -483,8 +578,10 @@ def stream_moments(mc: MCConfig, B: int, jobs) -> tuple:
 
 def _mc_mean(params: UnderlyingParams, sigma: float, mc: MCConfig, which: str,
              clamp: tuple) -> Estimate:
-    means, stderrs = stream_moments(
-        mc, params.B, [lambda z, bounds: [section_stats(z, sigma, params.B, bounds)[which]]])
+    def job(z, bounds):
+        return section_stats(z, sigma, params.B, bounds, (which,)).values()
+
+    means, stderrs = stream_moments(mc, params.B, [job])
     return Estimate(value=float(min(max(means[0], clamp[0]), clamp[1])),
                     stderr=float(stderrs[0]), n=mc.n_samples)
 
@@ -580,8 +677,7 @@ def table_plan(params: UnderlyingParams, mc: MCConfig,
     keys = ("mmse", "entropy")
 
     def node(z, bounds, sigma):
-        st = section_stats(z, sigma, params.B, bounds)
-        return [st[key] for key in keys]
+        return section_stats(z, sigma, params.B, bounds, keys).values()
 
     def finish(means, stderrs):
         tables = []

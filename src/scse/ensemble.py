@@ -153,6 +153,9 @@ def asymmetric_exponential_design(rate: float = 1.0) -> DesignFunction:
 
 def make_design(kind: str, param: float | None = None) -> DesignFunction:
     if kind == "rectangular":
+        if param is not None:
+            raise ValueError("the rectangular design takes no parameter, "
+                             f"got design_param={param!r}")
         return rectangular_design()
     args = () if param is None else (param,)  # None keeps the constructor's default
     if kind == "triangular":

@@ -186,8 +186,10 @@ def _nishimori_plan(params: UnderlyingParams, mc: MCConfig) -> Plan:
     sigs = [sigma_underlying(float(E), params) for E in NISHIMORI_E_GRID]
 
     def point(z, bounds, sig):
-        st = section_stats(z, sig, params.B, bounds)
-        yield st["mmse"] - (1.0 - st["f1"])
+        m, f1 = section_stats(z, sig, params.B, bounds, ("mmse", "f1")).values()
+        np.subtract(1.0, f1, out=f1)
+        m -= f1
+        yield m
 
     def finish(means, stderrs):
         n = mc.n_samples
@@ -235,18 +237,28 @@ def _i_mmse_plan(params: UnderlyingParams, coefficient: float | None = None) -> 
 
     def point(z, bounds, sig, sigs):
         # three statistics per point: D = slope + c*mmse, and the slope at
-        # steps h and h/2.  A kernel call's outputs are one block, so the
-        # first entropy of each difference is copied out before the second
-        # call runs and one call's block is alive at a time.
-        def ent_diff(up, down):
-            d = section_stats(z, sigs[up], params.B, bounds)["entropy"].copy()
-            d -= section_stats(z, sigs[down], params.B, bounds)["entropy"]
+        # steps h and h/2, formed in place on the kernel's one-row blocks
+        def stat(key, at):
+            return section_stats(z, at, params.B, bounds, (key,))[key]
+
+        def slope(up, down, step):
+            d = stat("entropy", sigs[up])
+            d -= stat("entropy", sigs[down])
+            d *= lb
+            d /= step
             return d
 
-        slope_h = lb * ent_diff("p", "m") / (2.0 * h)
-        yield slope_h + coefficient * section_stats(z, sig, params.B, bounds)["mmse"]
+        def plus_c_mmse(slope_h):
+            m = stat("mmse", sig)
+            m *= coefficient
+            m += slope_h
+            return m
+
+        # the generator keeps no name for D, so its block goes once reduced
+        slope_h = slope("p", "m", 2.0 * h)
+        yield plus_c_mmse(slope_h)
         yield slope_h
-        yield lb * ent_diff("p2", "m2") / h
+        yield slope("p2", "m2", h)
 
     def finish(means, stderrs):
         details = []

@@ -375,8 +375,9 @@ def _row_text(t, residual, values):
 @pytest.mark.parametrize("mode,max_iters", [("underlying", 10_000), ("underlying", 3),
                                              ("coupled", 10_000), ("coupled", 5)])
 def test_se_matches_library(tmp_path, mode, max_iters):
+    start = ["--e-init", "0.75"] if mode == "underlying" else []
     argv = ["se", "--mode", mode, "--B", "4", "--R", "1.5", "--gamma", "48", "--w", "2",
-            "--seed", "3", "--e-init", "0.75", "--max-iters", str(max_iters), *FAST]
+            "--seed", "3", *start, "--max-iters", str(max_iters), *FAST]
     assert _run(tmp_path, *argv) == 0
     p = UnderlyingParams(B=4, R=1.5, sigma2=1.0 / 15.0)
     mmse_t, _ = build_tables(p, MCConfig(seed=3, n_samples=4000), n_points=32)
@@ -450,3 +451,34 @@ def test_se_out_of_range_rejected(tmp_path, flag, value):
         _run(tmp_path, "se", "--B", "2", "--R", "1.2", flag, value, *FAST)
     assert exc.value.code == 2
     assert not list(tmp_path.iterdir())
+
+
+def test_se_coupled_rejects_e_init(tmp_path, capsys, counted_builds):
+    # the coupled recursion starts from the all-ones profile; an --e-init
+    # there was once accepted, used nowhere and recorded nowhere
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path, "se", "--B", "4", "--R", "1.6", "--mode", "coupled", "--e-init", "0.2",
+             "--gamma", "32", "--w", "2", *FAST)
+    assert exc.value.code == 2
+    assert "--e-init applies to --mode underlying only" in capsys.readouterr().err
+    assert counted_builds == [] and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_rectangular_design_rejects_design_param(tmp_path, source, capsys, counted_builds):
+    # the rectangular design has no parameter; a given one was once dropped
+    # and yet recorded as "design_param" in every artifact
+    outdir = tmp_path / "out"
+    argv = ["se", "--B", "4", "--R", "1.6", "--mode", "coupled", "--gamma", "32", "--w", "2",
+            "--outdir", str(outdir), *FAST]
+    if source == "flag":
+        argv += ["--design", "rectangular", "--design-param", "0.3"]
+    else:
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"design": "rectangular", "design_param": 0.3}))
+        argv += ["--config", str(cfg_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "rectangular design takes no parameter" in capsys.readouterr().err
+    assert counted_builds == [] and not outdir.exists()

@@ -224,6 +224,31 @@ def test_section_stats_outputs_are_fresh():
     _assert_same_stats(first, kept)  # the second call wrote nothing into the first's
 
 
+@pytest.mark.parametrize("B", [2, 16])
+def test_section_stats_selected_keys_bit_identical(B):
+    # every ordered choice of statistics gives the full call's bits, as the
+    # rows of one new (len(keys), n) block, on decided, mixed and undecided
+    # tiles, with and without the chunk's bounds
+    z = gaussian_block(4, B, 0, 30_001)
+    bounds = denoiser._row_bounds(z)
+    keys_all = ("mmse", "entropy", "f1")
+    for sigma in (0.02, 0.1, 0.3, 1.0, 2.5):
+        want = section_stats(z, sigma, B)
+        assert list(want) == list(keys_all)
+        for k in (1, 2, 3):
+            for keys in itertools.permutations(keys_all, k):
+                for bnd in (None, bounds):
+                    got = section_stats(z, sigma, B, bnd, keys)
+                    assert list(got) == list(keys)
+                    rows = list(got.values())
+                    assert rows[0].base.shape == (k, len(z))
+                    assert all(row.base is rows[0].base for row in rows)
+                    _assert_same_bits(got, {key: want[key] for key in keys})
+    for keys in (("mmse", "mmse"), ("f2",), ("entropy", "f1", "mmse", "f1")):
+        with pytest.raises(ValueError, match="keys"):
+            section_stats(z, 1.0, B, keys=keys)
+
+
 def test_section_stats_alternating_B_matches_untiled():
     # every change of B or of the row count makes the thread's scratch anew.
     # At the default kernel tile, 40000 rows end on a partial tile at each B
@@ -297,9 +322,11 @@ def _decided_rows(z, sigma, B):
 @pytest.mark.parametrize("B", [2, 4, 16, 64])
 def test_decided_tiles_bit_identical(mc_layout, monkeypatch, B):
     # a tile is skipped exactly when every row of it is decided, and the
-    # outputs match the full kernel's bit for bit.  The sweep runs across the
-    # table grid at snr 15, at the layout's kernel tile
+    # outputs match the full kernel's bit for bit, with the row test alone
+    # and with the chunk's tile statistic.  The sweep runs across the table
+    # grid at snr 15, at the layout's kernel tile
     z = gaussian_block(13, B, 0, 30_001)
+    bounds = denoiser._row_bounds(z)
     start = z.ctypes.data
     step = max(1, denoiser._KERNEL_TILE // (B + 2))
     kinds = set()
@@ -315,6 +342,11 @@ def test_decided_tiles_bit_identical(mc_layout, monkeypatch, B):
             kinds.add("decided" if decided.all() else "mixed" if decided.any() else "undecided")
             assert (a not in ran) == decided.all(), (sigma, a)
         assert (got["mmse"][rows] == 0.0).all() and not np.signbit(got["mmse"][rows]).any()
+        with pytest.MonkeyPatch.context() as mp:
+            full = _full_tiles(mp)
+            chunk = section_stats(z, sigma, B, bounds)
+        assert {(v.ctypes.data - start) // 8 for v in full} == ran, sigma
+        _assert_same_bits(chunk, got)
         with pytest.MonkeyPatch.context() as mp:
             _never_decided(mp)
             want = section_stats(z, sigma, B)
@@ -436,7 +468,9 @@ def test_chunk_row_bounds_bit_identical(monkeypatch, B):
     monkeypatch.setattr(denoiser, "_KERNEL_TILE", _BOUNDS_TILE * (B + 2))
     z = _bounds_block(B)
     bounds = denoiser._row_bounds(z)
-    assert bounds.shape == (len(z),)
+    assert bounds.off_max.shape == (len(z),) and bounds.tile_gap.shape == (10,)
+    # a non-finite entry, or a |z| of 1000, leaves its tile to the row test
+    assert np.flatnonzero(np.isnan(bounds.tile_gap)).tolist() == [1, 3, 5, 7, 8]
     before = z.copy()
     span = default_sigma_span(UnderlyingParams(B=B, R=1.0, sigma2=SIGMA2))
     ran = set()
@@ -469,11 +503,11 @@ def _undecided_tile_floors(z, sigma, B):
             if not (gap[a:b].max() <= margin and gap[a:b].min() > -math.inf)]
 
 
-def test_undecided_tiles_never_reach_minus_300():
-    # the premise of a kernel with no clip of the shifted scores at -300:
-    # every tile that is not decided keeps all its shifted scores above
-    # exp's slow underflow range.  Seed 1, 20000 rows, the 256-node grid at
-    # snr 5, 15 and 63, and the identity checks' sigmas of `scse verify --B 16`
+@pytest.fixture(scope="module")
+def census_cases():
+    """(z, sigma, B) over seed 1's first 20000 rows: the 256-node grid at snr
+    5, 15 and 63 for B = 2, 4, 16 and 64, and the identity checks' sigmas of
+    `scse verify --B 16`."""
     cases = []
     for B in (2, 4, 16, 64):
         z = gaussian_block(1, B, 0, 20_000)
@@ -486,8 +520,39 @@ def test_undecided_tiles_never_reach_minus_300():
     for sig in I_MMSE_SIGMA_GRID:
         for x in (0.0, I_MMSE_H, -I_MMSE_H, I_MMSE_H / 2, -I_MMSE_H / 2):
             cases.append((z, float((sig ** -2 + x) ** -0.5), 16))
-    floors = [f for z, sigma, B in cases for f in _undecided_tile_floors(z, sigma, B)]
+    return cases
+
+
+def test_undecided_tiles_never_reach_minus_300(census_cases):
+    # the premise of a kernel with no clip of the shifted scores at -300:
+    # every tile that is not decided keeps all its shifted scores above
+    # exp's slow underflow range
+    floors = [f for z, sigma, B in census_cases for f in _undecided_tile_floors(z, sigma, B)]
     assert len(floors) > 1000 and min(floors) >= -300.0, (len(floors), min(floors))
+
+
+def test_tile_statistic_census(census_cases):
+    # over the same sweep, every tile the per-chunk statistic calls decided
+    # is decided by the exact row test, and every tile it sends straight to
+    # the full passes is not; the borderline tiles, left to the row test,
+    # stay under 1 % (the share is in the message)
+    counts = {True: 0, False: 0, None: 0}
+    bounds = {}
+    for z, sigma, B in census_cases:
+        chunk = bounds.setdefault(id(z), denoiser._row_bounds(z))
+        c, d = denoiser._score_scales(sigma, B)
+        u1 = np.multiply(z[:, 0], c)
+        u1 += d
+        gap = np.multiply(chunk.off_max, c) - u1  # the row test's bound, as the kernel forms it
+        margin = -denoiser._decided_margin(B)
+        verdicts = denoiser._tile_verdicts(chunk.tile_gap, c, d, B)
+        for (a, b), verdict in zip(denoiser._tiles(0, len(z), B), verdicts, strict=True):
+            counts[verdict] += 1
+            if verdict is not None:
+                exact = gap[a:b].max() <= margin and gap[a:b].min() > -math.inf
+                assert verdict == exact, (B, sigma, a)
+    share = counts[None] / sum(counts.values())
+    assert counts[True] > 1000 and counts[False] > 1000 and share < 0.01, (counts, share)
 
 
 def test_stream_plans_hands_each_plan_its_own_jobs():
@@ -495,7 +560,8 @@ def test_stream_plans_hands_each_plan_its_own_jobs():
     # finish step gets exactly a stream_moments pass over its own jobs
     mc = MCConfig(seed=0, n_samples=100)
     jobs = [[lambda z, bounds: [z[:, 0]]],
-            [lambda z, bounds: [z[:, 1], bounds], lambda z, bounds: [z[:, 1] - bounds]],
+            [lambda z, bounds: [z[:, 1], bounds.off_max],
+             lambda z, bounds: [z[:, 1] - bounds.off_max]],
             [lambda z, bounds: [z[:, 0] * z[:, 1], z[:, 1], z[:, 0]]]]
     got = denoiser.stream_plans(mc, 2, [denoiser.Plan(j, lambda m, s: (m, s)) for j in jobs])
     for (means, stderrs), own in zip(got, jobs):
@@ -721,12 +787,14 @@ def test_estimates_independent_of_workers_and_tiles(mc_layout, serial_untiled_es
 
 
 def test_build_tables_one_kernel_call_per_node(monkeypatch):
-    # each chunk's jobs evaluate every grid node once, whatever the workers
+    # each chunk's jobs evaluate every grid node once, whatever the workers,
+    # and ask the kernel for the two statistics a table reads
     calls = []
 
-    def counting(z, sigma, B, bounds=None):
+    def counting(z, sigma, B, bounds, keys):
+        assert keys == ("mmse", "entropy")
         calls.append(sigma)
-        return section_stats(z, sigma, B, bounds)
+        return section_stats(z, sigma, B, bounds, keys)
 
     monkeypatch.setattr(denoiser, "_WORKERS", 2)
     monkeypatch.setattr(denoiser, "section_stats", counting)
@@ -770,7 +838,7 @@ def test_build_tables_chunk_memory(monkeypatch, workers):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 14.5 * 2 ** 20
+    assert peak < 12.5 * 2 ** 20
 
 
 def test_estimate_stderr_scales_with_n():

@@ -82,6 +82,8 @@ def test_make_design_dispatch():
     assert make_design("asymmetric-exponential") == asymmetric_exponential_design()
     with pytest.raises(ValueError):
         make_design("gaussian")
+    with pytest.raises(ValueError, match="takes no parameter"):
+        make_design("rectangular", 0.3)
     with pytest.raises(ValueError):
         DesignFunction("rectangular", None, g0=0.0, gstar=0.0)
 

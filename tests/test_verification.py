@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from scse import (CoupledParams, ErrorProfile, MCConfig, UnderlyingParams,
-                  build_coupling_matrix, build_tables, denoiser, iterate_coupled,
-                  iterate_underlying, ones_profile, rectangular_design,
-                  saturate_profile, shift, triangular_design)
+                  build_coupling_matrix, build_tables, denoiser, entropy_estimate,
+                  iterate_coupled, iterate_underlying, mmse_estimate, ones_profile,
+                  rectangular_design, saturate_profile, shift, triangular_design)
 from scse.verification import (LemmaReport, coupled_chain, i_mmse_report,
                                nishimori_report, run_suite, shift_potential_scaling,
                                theorem1_experiment, verify_basin_exclusion,
@@ -237,8 +237,8 @@ def test_nishimori_catches_planted_sign_error(params_b4, monkeypatch):
     import scse.verification as verification
     real = verification.section_stats
 
-    def flipped(z, sigma, B, bounds=None):
-        st = real(z, sigma, B, bounds)
+    def flipped(z, sigma, B, bounds, keys):
+        st = real(z, sigma, B, bounds, keys)
         st["mmse"] = st["mmse"] + 4.0 * st["f1"]  # sign error on the -2 f1 term
         return st
 
@@ -254,6 +254,50 @@ B16 = UnderlyingParams(B=16, R=1.5, sigma2=SIGMA2)
 def serial_untiled_reports():
     with serial_untiled():
         return nishimori_report(B16, MC_TWO_CHUNKS), i_mmse_report(B16, MC_TWO_CHUNKS)
+
+
+# each point's (mean, stderr) as repr strings: nishimori_report's diff and
+# i_mmse_report's slope_plus_c_mmse for B16 on MC_TWO_CHUNKS, recorded before
+# the kernel formed only the statistics its caller reads
+FROZEN_REPORTS = {
+    "nishimori": [
+        ("-1.8761249031636647e-05", "1.4389161540164863e-05"),
+        ("-0.00030637478084476145", "0.00019738435445767344"),
+        ("-0.00030819995828192624", "0.00042400290828960925"),
+        ("-0.0007650826481332947", "0.0005884293474231682"),
+        ("-0.0010670187032858533", "0.000691307612376114"),
+        ("-0.0012483231730165746", "0.0007522693293505257"),
+        ("-0.0013687604763202741", "0.000785259387746827"),
+        ("-0.0014109118268592488", "0.000799640204726902"),
+        ("-0.0013768711873927528", "0.0008016861466127065"),
+        ("-0.0012898326815643853", "0.0007956370784883902"),
+        ("-0.0011752072697987222", "0.0007843508810817538"),
+        ("-0.0010519853168014205", "0.0007697490646966615"),
+        ("-0.0009319065455530758", "0.000753128280689922"),
+        ("-0.00082117322737099", "0.0007353685772500931"),
+        ("-0.0007223722025042591", "0.0007170693013395623"),
+        ("-0.000635962814085995", "0.0006986382961844254"),
+    ],
+    "i_mmse": [
+        ("-0.00010265273605329349", "0.0003676201023668624"),
+        ("-0.0010385173265982772", "0.0013233512111660397"),
+        ("-0.004231923104279182", "0.0028177829519526417"),
+        ("-0.008173640963044768", "0.004438396295907808"),
+        ("-0.00922568712394279", "0.006082799203294932"),
+        ("-0.008422704470674143", "0.00791836485580674"),
+        ("-0.008865859884372454", "0.010208490161115219"),
+        ("-0.010572461055106607", "0.013192126614758267"),
+    ],
+}
+
+
+def test_report_points_frozen(serial_untiled_reports):
+    nishimori, i_mmse = serial_untiled_reports
+    got = {"nishimori": [(repr(p["diff"]), repr(p["stderr"]))
+                         for p in nishimori.context["points"]],
+           "i_mmse": [(repr(p["slope_plus_c_mmse"]), repr(p["stderr"]))
+                      for p in i_mmse.context["points"]]}
+    assert got == FROZEN_REPORTS
 
 
 def test_reports_independent_of_workers_and_tiles(mc_layout, serial_untiled_reports):
@@ -303,4 +347,31 @@ def test_report_chunk_memory(monkeypatch, workers, report):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 2 ** 20
+    assert peak < 12.5 * 2 ** 20
+
+
+def test_jobs_ask_the_kernel_for_what_they_read(monkeypatch, params_b4):
+    # per chunk: the Nishimori check reads mmse and f1 at each of its 16
+    # points; the I-MMSE check reads four entropies and one mmse at each of
+    # its 8; an estimate reads its one statistic
+    import scse.verification as verification
+    real = denoiser.section_stats
+    seen = []
+
+    def spying(z, sigma, B, bounds, keys):
+        seen.append(keys)
+        return real(z, sigma, B, bounds, keys)
+
+    monkeypatch.setattr(verification, "section_stats", spying)
+    monkeypatch.setattr(denoiser, "section_stats", spying)
+    monkeypatch.setattr(denoiser, "_WORKERS", 1)  # the jobs run in order
+    mc = MCConfig(seed=0, n_samples=1000)
+    nishimori_report(params_b4, mc)
+    assert seen == [("mmse", "f1")] * 16
+    seen.clear()
+    i_mmse_report(params_b4, mc)
+    assert seen == [("entropy",), ("entropy",), ("mmse",), ("entropy",), ("entropy",)] * 8
+    for estimate, key in ((mmse_estimate, "mmse"), (entropy_estimate, "entropy")):
+        seen.clear()
+        estimate(0.8, params_b4, mc)
+        assert seen == [(key,)]
