@@ -221,6 +221,9 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, b_list) -> int:
+    """One threshold row per section size.  A size whose search fails is
+    reported on stderr and left out; sweep.csv holds the rows that solved,
+    in b_list order, and the exit code is 1 if any size failed."""
     rows = []
     for B in b_list:
         sub = replace(cfg, B=B)
@@ -228,12 +231,12 @@ def cmd_sweep(cfg: RunConfig, b_list) -> int:
             r_u, r_pot, r_c = _threshold_row(sub)
         except ThresholdSearchError as exc:
             print(f"threshold search failed at B={B}: {exc}", file=sys.stderr)
-            return 1
+            continue
         rows.append((B, cfg.snr, cfg.Gamma, cfg.w, r_u.value, r_pot.value,
                      r_c.value, capacity(cfg.snr)))
         print(f"B={B}: R_u={r_u.value:.4f} R_pot={r_pot.value:.4f} R_c={r_c.value:.4f}")
     _write_csv(_out(cfg, "sweep.csv"), cfg, SWEEP_HEADER, rows)
-    return 0
+    return 0 if len(rows) == len(b_list) else 1
 
 
 _FLAGS = {

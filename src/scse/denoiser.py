@@ -17,10 +17,15 @@ through Sigma(E) = sqrt(R (sigma2 + E)), so one table pair serves every rate.
 
 stream_moments runs the per-chunk jobs of every estimator on a thread pool
 sized to the CPUs the process may use (numpy releases the interpreter lock in
-its loops).  Each statistic's chunk sum is the same numpy call on the same
-array whichever thread makes it, and the sums are added in stream order, so
-results are bit-identical for any worker count.  The pool runs only these
-jobs: gaussian_block draws each chunk on the calling thread first.
+its loops).  A job yields its per-sample statistics kernel tile by kernel
+tile, and the tiles are the leaves of numpy's pairwise summation tree over
+the chunk (_tiles).  Each tile's rows are reduced to (sum, sum of squares)
+at once and the tile sums are added in the tree's order, which gives v.sum()
+and (v * v).sum() of the statistic's whole chunk v bit for bit, though no
+chunk-long statistic is formed.  The chunk sums are added in stream order, so
+results are bit-identical for any worker count and any tile budget.  The
+pool runs only these jobs: gaussian_block draws each chunk on the calling
+thread first.
 
 Each estimator is a Plan: its stream_moments jobs plus a finish step that
 maps their (means, stderrs) to its result.  stream_plans runs several plans
@@ -35,14 +40,11 @@ of reducing z's off columns again at every node.
 
 section_stats forms only the statistics its caller names (mmse, entropy,
 f1): a table node reads mmse and entropy, a Nishimori point mmse and f1, an
-I-MMSE difference one entropy at a time.  It allocates nothing per tile:
-each thread keeps one score buffer and two row vectors across tiles and
-calls, every pass writes in place or through out=, and the row results go
-straight into the outputs.  The statistics of one call are the rows of one
-new block.  glibc's malloc would return the pages of separate 512 KB arrays
-after every call and fault them back in on the next, until the first freed
-8 MB Gaussian block raises its trim threshold; a freed block of all of them
-raises it at once.
+I-MMSE difference one entropy at a time.  It yields them tile by tile as the
+rows of one tile-sized block per call, which the job combines in place and
+passes on.  Nothing else is allocated per tile: each thread keeps one score
+buffer and two row vectors across tiles and calls, every pass writes in
+place or through out=, and the row results go straight into the block.
 
 section_stats skips every kernel tile whose rows are decided: each off
 score sits so far below the transmitted one (_decided_margin) that the
@@ -82,13 +84,15 @@ from .ensemble import RATE_CAP, RATE_FLOOR, UnderlyingParams, atomic_write, capa
 
 DEFAULT_N_POINTS = 256  # nodes of a lookup table's Sigma grid
 _CHUNK = 65536  # fixed so accumulation order never depends on n_samples
-# the budget in doubles per row tile of the sampling loop and the kernel:
-# _KERNEL_TILE // (B + 2) rows, so a kernel tile's column-major scores and its
-# two row vectors fill 1 MB at any B and stay in a 2 MB L2 cache.  Against
-# 512 KB tiles this halves the per-tile interpreter and lock hand-off
-# overhead, which costs a pooled B=16 build about a fifth of its time.  Row
-# results do not depend on the tile.
-_KERNEL_TILE = 131072
+# the budget in doubles of a thread's working set per row tile.  The kernel
+# walks the leaves of numpy's pairwise summation tree (_tiles), at most
+# _KERNEL_TILE // (B + 2) rows, whose column-major scores and two row vectors
+# then fill 1.2 MB at any B and stay in a 2 MB L2 cache: 8192-row leaves on a
+# full B=16 chunk, and 8616 on the 34464-row last chunk of 10^5 samples,
+# which a budget of 147456 would split into 4304-row leaves.  The sampler
+# draws _KERNEL_TILE // (4 B) rows at a time, since ndtri keeps about four
+# arrays of a tile's words.  No result depends on either tile.
+_KERNEL_TILE = 157286
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
@@ -127,12 +131,50 @@ def _chunks(n):
         start = stop
 
 
-def _tiles(start: int, stop: int, B: int):
-    """Row ranges of _KERNEL_TILE // (B + 2) rows, the last maybe shorter,
-    covering rows start..stop-1."""
-    step = max(1, _KERNEL_TILE // (B + 2))
-    for a in range(start, stop, step):
-        yield a, min(a + step, stop)
+def _half(n: int, leaf: int) -> int:
+    """Rows in the first half of an n-row node of numpy's pairwise summation,
+    or 0 where the node is a leaf of at most leaf rows.
+
+    numpy's pairwise_sum splits an array of n > 128 doubles into n2 =
+    n//2 - (n//2 mod 8) and n - n2, and adds the two halves' sums.  With
+    leaf >= 128 every leaf here is a node of that tree, so numpy sums it
+    exactly as it would inside the whole array.
+    """
+    if n <= leaf:
+        return 0
+    half = n // 2
+    return half - half % 8
+
+
+def _leaf_rows(B: int) -> int:
+    return max(_KERNEL_TILE // (B + 2), 128)
+
+
+def _tiles(n: int, B: int) -> tuple:
+    """Row ranges covering rows 0..n-1: the leaves, in order, of numpy's
+    pairwise summation tree over n rows (_half), each at most
+    max(_KERNEL_TILE // (B + 2), 128) rows."""
+    return _leaves(n, _leaf_rows(B))
+
+
+@functools.lru_cache(maxsize=64)
+def _leaves(n: int, leaf: int) -> tuple:
+    half = _half(n, leaf)
+    if not half:
+        return ((0, n),)
+    return _leaves(half, leaf) + tuple((a + half, b + half) for a, b in _leaves(n - half, leaf))
+
+
+def _pairwise_add(leaves, n: int, B: int):
+    """The per-tile values leaves of _tiles(n, B) added in the order of
+    numpy's pairwise summation over the n rows."""
+    leaf, it = _leaf_rows(B), iter(leaves)
+
+    def node(n):
+        half = _half(n, leaf)
+        return node(half) + node(n - half) if half else next(it)
+
+    return node(n)
 
 
 def _uniform_words(seed: int, word_start: int, n_words: int) -> np.ndarray:
@@ -263,12 +305,14 @@ def gaussian_block(seed: int, B: int, start: int, stop: int) -> np.ndarray:
 
     The (rows, B) block is column-major, so each component is one contiguous
     column and section_stats reduces across components column by column.  It
-    is drawn tile by tile (_tiles) on the calling thread, so only one tile of
-    uniform words is alive at once; each tile reads its own words, so the
-    block does not depend on the tile.
+    is drawn on the calling thread in tiles of _KERNEL_TILE // (4 B) rows, so
+    only one tile of uniform words is alive at once; each tile reads its own
+    words, so the block does not depend on the tile.
     """
     z = np.empty((stop - start, B), order="F")
-    for a, b in _tiles(start, stop, B):
+    step = max(1, _KERNEL_TILE // (4 * B))
+    for a in range(start, stop, step):
+        b = min(a + step, stop)
         u = _uniform_words(seed, a * B, (b - a) * B)
         np.maximum(u, 1e-300, out=u)
         z[a - start:b - start] = _ndtri(u).reshape(b - a, B)
@@ -291,13 +335,14 @@ def _scores(z: np.ndarray, sigma: float, B: int, out: np.ndarray | None = None) 
 _scratch = threading.local()
 
 
-def _kernel_scratch(rows: int, B: int) -> tuple:
-    """This thread's score buffer of rows*B doubles and its two row vectors,
-    made anew only when a call needs another (rows, B)."""
+def _kernel_scratch(rows: int, B: int) -> np.ndarray:
+    """This thread's rows*(B + 2) doubles: section_stats' score buffer of
+    rows*B and its two row vectors, made anew only when a call needs another
+    (rows, B)."""
     s = _scratch
     if getattr(s, "shape", None) != (rows, B):
-        s.shape, s.bufs = (rows, B), (np.empty(rows * B), np.empty(rows), np.empty(rows))
-    return s.bufs
+        s.shape, s.buf = (rows, B), np.empty(rows * (B + 2))
+    return s.buf
 
 
 def _decided_margin(B: int) -> float:
@@ -332,12 +377,12 @@ def _row_bounds(z: np.ndarray) -> RowBounds:
     off maximum of the tile exceeds _Z_CAP or is not finite.  stream_moments
     forms them once per chunk."""
     off_max = np.max(z[:, 1:], axis=1)
-    z1 = z[:, 0]
-    starts = [a for a, _ in _tiles(0, len(z), z.shape[1])]
-    gap = np.maximum.reduceat(off_max - z1, starts)
-    size = np.abs(off_max)
-    np.maximum(size, np.abs(z1), out=size)
-    gap[~(np.maximum.reduceat(size, starts) <= _Z_CAP)] = math.nan
+    tiles = _tiles(len(z), z.shape[1])
+    gap = np.empty(len(tiles))
+    for k, (a, b) in enumerate(tiles):
+        m, z1 = off_max[a:b], z[a:b, 0]
+        size = np.maximum(np.abs(m).max(), np.abs(z1).max())  # NaN if either is
+        gap[k] = (m - z1).max() if size <= _Z_CAP else math.nan
     return RowBounds(off_max, gap)
 
 
@@ -359,30 +404,36 @@ def _tile_verdicts(tile_gap: np.ndarray, c: float, d: float, B: int) -> list:
 
 
 def section_stats(z: np.ndarray, sigma: float, B: int, bounds: RowBounds | None = None,
-                  keys: tuple = _STATS) -> dict:
-    """Per-sample squared error, entropy summand and true-component weight.
+                  keys: tuple = _STATS):
+    """Per-sample squared error, entropy summand and true-component weight,
+    yielded kernel tile by kernel tile.
 
     One exp pass over the shifted scores e = exp(u - max u) serves all three
     integrands:
       f1:      posterior weight of the transmitted component, e_1 / sum e
       mmse:    sum_i (f_i - s_i)^2 = sum e^2 / (sum e)^2 - 2 f_1 + 1
       entropy: log_B of the posterior-odds sum = (log sum e - (u_1 - max u))/ln(B)
-    Only the statistics named in keys are formed; they come back, in that
-    order, as the rows of one new (len(keys), n) block, so they share memory
-    with no other call's.  Without "mmse" the square, its sum and the five
-    row operations after it are skipped; without "entropy" the copy of
-    u_1 - max u, the log, the subtraction and the division; without both
-    "mmse" and "f1" the division that forms f1, which mmse alone forms in
-    the thread's scratch.  Each statistic's bits do not depend on which
-    others are asked for.
+    Only the statistics named in keys are formed.  Without "mmse" the
+    square, its sum and the five row operations after it are skipped;
+    without "entropy" the copy of u_1 - max u, the log, the subtraction and
+    the division; without both "mmse" and "f1" the division that forms f1,
+    which mmse alone forms in the thread's scratch.  Each statistic's bits
+    do not depend on which others are asked for.
 
-    The rows are walked in tiles of _KERNEL_TILE // (B + 2) rows (_tiles), in
-    the calling thread's scratch: a column-major score buffer and two row
-    vectors, about 1 MB, sized min(tile rows, n) and kept across tiles and
-    calls.  Each pass writes in place or through out=, and the row results go
-    straight into the output slices, so a tile allocates nothing.  numpy
-    reduces a column-major tile across components one column at a time, so
-    no row depends on the tiling.
+    The rows are walked in the tiles of _tiles, the leaves of numpy's
+    pairwise summation tree over z's n rows, at most _KERNEL_TILE // (B + 2)
+    rows each, and the call is a generator: per tile it yields a
+    (len(keys), tile rows) view whose rows are the statistics in keys'
+    order.  The view is a slice of one block per call, tile rows by the
+    largest tile, which the next tile overwrites; the caller may change its
+    rows in place before asking for the next tile, and no other call writes
+    them.  The passes run in the calling thread's scratch, a column-major
+    score buffer and two row vectors of the largest tile's rows, at most
+    1.2 MB, kept across tiles and calls.  Each pass writes in place or through out=,
+    and the row results go straight into the block, so a tile allocates
+    nothing.  numpy reduces a column-major tile across components one column
+    at a time, so no row depends on the tiling.  keys are checked when the
+    first tile is asked for.
 
     bounds is what stream_moments forms once per chunk (_row_bounds): the row
     vector max_{j>1} z_j over all of z and a statistic g per kernel tile.
@@ -398,7 +449,7 @@ def section_stats(z: np.ndarray, sigma: float, B: int, bounds: RowBounds | None 
     = fl(c max_{j>1} z_j), and every shifted off score fl(u_j - u_1) is at
     most fl(fl(c max_{j>1} z_j) - u_1).  That bound is formed per row from
     the off maxima.  When it is <= -M on every row of a tile, the tile's
-    outputs are written as (+0.0, +0.0, 1.0) and nothing else runs.  Any
+    rows are filled with (+0.0, +0.0, 1.0) and nothing else runs.  Any
     other tile runs the full passes, with max u = max(fl(c max_{j>1} z_j),
     u_1), the same value bit for bit as a row max over u.  A NaN or +inf in
     z, or a -inf in its first column or in all of its others, keeps a row
@@ -434,50 +485,53 @@ def section_stats(z: np.ndarray, sigma: float, B: int, bounds: RowBounds | None 
         raise ValueError(f"keys must be distinct names from {_STATS}, got {keys!r}")
     n = z.shape[0]
     c, d = _score_scales(sigma, B)
-    tiles = list(_tiles(0, n, B))
+    tiles = _tiles(n, B)
     if bounds is None:
         off_max, verdicts = np.max(z[:, 1:], axis=1), [None] * len(tiles)
     else:
         off_max, verdicts = bounds.off_max, _tile_verdicts(bounds.tile_gap, c, d, B)
-    block = np.empty((len(keys), n))
+    rows = max(b - a for a, b in tiles)
+    block = np.empty((len(keys), rows))
     out = dict(zip(keys, block))
     sq, ent, f1 = (out.get(key) for key in _STATS)
     fill = np.array([[1.0 if key == "f1" else 0.0] for key in keys])
-    scores, r1, r2 = _kernel_scratch(min(max(1, _KERNEL_TILE // (B + 2)), n), B)
+    buf = _kernel_scratch(rows, B)
+    scores, r1, r2 = buf[:rows * B], buf[rows * B:rows * (B + 1)], buf[rows * (B + 1):]
     margin = -_decided_margin(B)
     ln_b = math.log(B)
     for (a, b), decided in zip(tiles, verdicts, strict=True):
-        zt = z[a:b]
-        mx, tot = r1[:b - a], r2[:b - a]
+        zt, m = z[a:b], b - a
+        mx, tot = r1[:m], r2[:m]
         if decided is not True:
             np.multiply(off_max[a:b], c, out=mx)  # max_{j>1} u_j
             np.multiply(zt[:, 0], c, out=tot)
             tot += d  # u_1
         if decided is None:
-            gap = np.subtract(mx, tot, out=scores[:b - a])
+            gap = np.subtract(mx, tot, out=scores[:m])
             # a NaN or +inf anywhere, or -inf in u_1, fails the first test, and
             # u_1 = +inf or every u_j = -inf the second (see the docstring)
             decided = gap.max() <= margin and gap.min() > -math.inf
         if decided:
-            block[:, a:b] = fill
+            block[:, :m] = fill
+            yield block[:, :m]
             continue
         np.maximum(mx, tot, out=mx)
-        u = scores[:(b - a) * B].reshape(b - a, B, order="F")
+        u = scores[:m * B].reshape(m, B, order="F")
         _scores(zt, sigma, B, out=u)
         u -= mx[:, None]
         if ent is not None:
-            e = ent[a:b]
+            e = ent[:m]
             e[:] = u[:, 0]  # u_1 - max u, until the entropy is formed below
         np.exp(u, out=u)
-        np.sum(u, axis=1, out=tot)
+        np.add.reduce(u, axis=1, out=tot)
         if sq is not None or f1 is not None:
-            f = mx if f1 is None else f1[a:b]  # mx is spent once u is shifted
+            f = mx if f1 is None else f1[:m]  # mx is spent once u is shifted
             np.divide(u[:, 0], tot, out=f)
         if sq is not None:
-            s = sq[a:b]
+            s = sq[:m]
             np.square(u, out=u)
-            np.sum(u, axis=1, out=s)  # sum e^2
-            tmp = scores[:b - a]  # u is spent
+            np.add.reduce(u, axis=1, out=s)  # sum e^2
+            tmp = scores[:m]  # u is spent
             np.multiply(tot, tot, out=tmp)
             s /= tmp
             np.multiply(2.0, f, out=tmp)
@@ -487,22 +541,7 @@ def section_stats(z: np.ndarray, sigma: float, B: int, bounds: RowBounds | None 
             np.log(tot, out=tot)
             np.subtract(tot, e, out=e)
             e /= ln_b
-    return out
-
-
-def denoise_section(z, sigma_eff: float, B: int) -> np.ndarray:
-    """Posterior mean of one section; components sum to 1 to round-off."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (B,):
-        raise ValueError(f"expected a length-{B} vector, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("non-finite observation")
-    if not (sigma_eff > 0 and math.isfinite(sigma_eff)):
-        raise ValueError("sigma_eff must be positive and finite")
-    u = _scores(z[None, :], sigma_eff, B)[0]
-    m = u.max()
-    lse = m + math.log(np.exp(u - m).sum())
-    return np.exp(u - lse)
+        yield block[:, :m]
 
 
 @functools.cache
@@ -514,15 +553,32 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of the threads
     os.register_at_fork(after_in_child=_executor.cache_clear)
 
 
-def _moments(job, z, bounds) -> list:
-    """(sum, sum of squares) of each per-sample array job(z, bounds) yields,
-    reduced as soon as it is yielded, so a job's arrays never pile up."""
-    return [(float(v.sum()), float((v * v).sum())) for v in job(z, bounds)]
+def _moments(job, z, bounds) -> np.ndarray:
+    """(sum, sum of squares) of each per-sample statistic of job(z, bounds),
+    one row per statistic.
+
+    The job yields its k statistics tile by tile (_tiles), as a (k, tile
+    rows) array.  Each row is summed, squared into the thread's kernel
+    scratch, idle between the kernel's tiles, and summed again, which allows
+    up to B + 2 statistics.  The tile sums are added in numpy's pairwise
+    order, whose leaves the tiles are, so each pair is v.sum() and
+    (v * v).sum() of the statistic's whole chunk v bit for bit, and no
+    chunk-long statistic is ever formed.
+    """
+    n, B = z.shape
+    square = _kernel_scratch(max(b - a for a, b in _tiles(n, B)), B)
+    add = np.add.reduce
+    leaves = []
+    for stats in job(z, bounds):
+        k, m = stats.shape
+        squares = np.square(stats, out=square[:k * m].reshape(k, m))
+        leaves.append((add(stats, axis=1), add(squares, axis=1)))
+    return (0.0 + _pairwise_add(np.array(leaves), n, B)).T
 
 
 def _stream_sums(mc: MCConfig, B: int, jobs) -> list:
     """Per job, an (m, 2) array of the (sum, sum of squares) over the stream
-    of each of the m per-sample arrays it yields (see stream_moments)."""
+    of each of the m per-sample statistics it yields (see stream_moments)."""
     mapper = map if _WORKERS == 1 else _executor(_WORKERS).map
     sums = [0.0] * len(jobs)
     for a, b in _chunks(mc.n_samples):
@@ -530,7 +586,7 @@ def _stream_sums(mc: MCConfig, B: int, jobs) -> list:
         bounds = _row_bounds(z)
         reduced = list(mapper(functools.partial(_moments, z=z, bounds=bounds), jobs))
         del z, bounds  # release this block before the next one is drawn
-        sums = [total + np.array(job).reshape(-1, 2) for total, job in zip(sums, reduced)]
+        sums = [total + job for total, job in zip(sums, reduced)]
     return sums
 
 
@@ -564,14 +620,17 @@ def stream_moments(mc: MCConfig, B: int, jobs) -> tuple:
     """Means and standard errors of per-sample statistics over the stream.
 
     Each job maps a Gaussian block z of the (seed, n_samples) stream and its
-    row bounds to an iterable of per-sample arrays, always the same number
-    in the same order; the statistics are the jobs' arrays in job order.
-    The bounds (_row_bounds: the row maxima over z's off columns and one
-    statistic per kernel tile) are formed once per chunk for every job to
-    pass to section_stats.  The jobs of one
-    chunk run concurrently; each statistic sums its chunks in stream order,
-    so the result depends neither on the chunking nor on the worker count.
-    The pool is made on first use, not at import.
+    row bounds to an iterable over z's kernel tiles (_tiles, in order) that
+    gives, per tile, a (k, tile rows) array whose rows are the tile's rows of
+    its k per-sample statistics, with the same k <= B + 2 on every tile; the
+    statistics are the jobs' in job order.  The caller only reads a tile's
+    array, before it asks the job for the next.  The bounds (_row_bounds: the row
+    maxima over z's off columns and one statistic per kernel tile) are
+    formed once per chunk for every job to pass to section_stats.  The jobs
+    of one chunk run concurrently; each statistic sums its tiles in numpy's
+    pairwise order and its chunks in stream order, so the result depends
+    neither on the chunking nor on the tiling nor on the worker count.  The
+    pool is made on first use, not at import.
     """
     return stream_plans(mc, B, [Plan(jobs, lambda means, stderrs: (means, stderrs))])[0]
 
@@ -579,7 +638,7 @@ def stream_moments(mc: MCConfig, B: int, jobs) -> tuple:
 def _mc_mean(params: UnderlyingParams, sigma: float, mc: MCConfig, which: str,
              clamp: tuple) -> Estimate:
     def job(z, bounds):
-        return section_stats(z, sigma, params.B, bounds, (which,)).values()
+        return section_stats(z, sigma, params.B, bounds, (which,))
 
     means, stderrs = stream_moments(mc, params.B, [job])
     return Estimate(value=float(min(max(means[0], clamp[0]), clamp[1])),
@@ -677,7 +736,7 @@ def table_plan(params: UnderlyingParams, mc: MCConfig,
     keys = ("mmse", "entropy")
 
     def node(z, bounds, sigma):
-        return section_stats(z, sigma, params.B, bounds, keys).values()
+        return section_stats(z, sigma, params.B, bounds, keys)
 
     def finish(means, stderrs):
         tables = []

@@ -186,10 +186,11 @@ def _nishimori_plan(params: UnderlyingParams, mc: MCConfig) -> Plan:
     sigs = [sigma_underlying(float(E), params) for E in NISHIMORI_E_GRID]
 
     def point(z, bounds, sig):
-        m, f1 = section_stats(z, sig, params.B, bounds, ("mmse", "f1")).values()
-        np.subtract(1.0, f1, out=f1)
-        m -= f1
-        yield m
+        for rows in section_stats(z, sig, params.B, bounds, ("mmse", "f1")):
+            m, f1 = rows
+            np.subtract(1.0, f1, out=f1)
+            m -= f1
+            yield rows[:1]
 
     def finish(means, stderrs):
         n = mc.n_samples
@@ -236,29 +237,25 @@ def _i_mmse_plan(params: UnderlyingParams, coefficient: float | None = None) -> 
                                     (("p", h), ("m", -h), ("p2", h / 2), ("m2", -h / 2))}))
 
     def point(z, bounds, sig, sigs):
-        # three statistics per point: D = slope + c*mmse, and the slope at
-        # steps h and h/2, formed in place on the kernel's one-row blocks
+        # three statistics per point, formed tile by tile in place on the
+        # kernel's rows and stacked: D = slope + c*mmse, and the slope at
+        # steps h and h/2
         def stat(key, at):
-            return section_stats(z, at, params.B, bounds, (key,))[key]
+            return section_stats(z, at, params.B, bounds, (key,))
 
         def slope(up, down, step):
-            d = stat("entropy", sigs[up])
-            d -= stat("entropy", sigs[down])
-            d *= lb
-            d /= step
-            return d
+            up -= down
+            up *= lb
+            up /= step
+            return up
 
-        def plus_c_mmse(slope_h):
-            m = stat("mmse", sig)
+        for (up,), (down,), (m,), (up2,), (down2,) in zip(
+                stat("entropy", sigs["p"]), stat("entropy", sigs["m"]), stat("mmse", sig),
+                stat("entropy", sigs["p2"]), stat("entropy", sigs["m2"])):
+            slope_h = slope(up, down, 2.0 * h)
             m *= coefficient
             m += slope_h
-            return m
-
-        # the generator keeps no name for D, so its block goes once reduced
-        slope_h = slope("p", "m", 2.0 * h)
-        yield plus_c_mmse(slope_h)
-        yield slope_h
-        yield slope("p2", "m2", h)
+            yield np.array((m, slope_h, slope(up2, down2, h)))
 
     def finish(means, stderrs):
         details = []

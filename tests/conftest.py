@@ -1,5 +1,6 @@
 import contextlib
 
+import numpy as np
 import pytest
 
 from scse import MCConfig, UnderlyingParams, build_tables, denoiser
@@ -16,6 +17,13 @@ def _set_layout(mp, workers, tile):
     mp.setattr(denoiser, "_KERNEL_TILE", tile)
 
 
+def full_stats(z, sigma, B, bounds=None, keys=("mmse", "entropy", "f1")) -> dict:
+    """section_stats over z, its tiles copied out and joined into one row per
+    statistic, keyed by name in keys' order."""
+    tiles = [rows.copy() for rows in denoiser.section_stats(z, sigma, B, bounds, keys)]
+    return dict(zip(keys, np.hstack(tiles)))
+
+
 @contextlib.contextmanager
 def serial_untiled():
     """One worker and one tile per chunk: the loop structure with neither
@@ -29,12 +37,15 @@ def serial_untiled():
                         (2, 147456), (3, 20000)],
                 ids=lambda p: f"workers{p[0]}-tile{p[1]}")
 def mc_layout(request, monkeypatch):
-    """Worker count and tile (elements) of the Monte-Carlo loops.  Both the
-    sampling loop and the kernel walk _KERNEL_TILE // (B + 2) rows per tile:
-    3640, 4444, 8192 and 1111 rows at B=16 (10922, 13333, 24576 and 3333 at
-    B=4, 16384 at B=2 for the first), and of these only 8192 rows at B=16 and
-    16384 at B=2 divide the chunk.  3 workers do not divide a table's 16 node
-    jobs."""
+    """Worker count and tile (elements) of the Monte-Carlo loops.  The kernel
+    walks the leaves of numpy's pairwise summation tree over each chunk, at
+    most _KERNEL_TILE // (B + 2) rows: on a full chunk 2048, 4096, 8192 and
+    1024 rows at B=16 for the tiles 65536, 80000, 147456 and 20000 (8192,
+    8192, 16384 and 2048 at B=4), on the 4465-row last chunk of
+    MC_TWO_CHUNKS 2232 and 2233 rows, or one leaf, or 552 to 561 rows.  The
+    sampler draws _KERNEL_TILE // (4 B) rows at a time, 1024, 1250, 2304 and
+    312 at B=16, and of these only 1024 divides the chunk.  3 workers do not
+    divide a table's 16 node jobs."""
     _set_layout(monkeypatch, *request.param)
     return request.param
 

@@ -90,6 +90,24 @@ def direct_softmax_denoiser(z, sigma, B):
     return num / num.sum()
 
 
+def denoise_section(z, sigma_eff: float, B: int) -> np.ndarray:
+    """Posterior mean of one section in log-domain; components sum to 1 to
+    round-off."""
+    z = np.asarray(z, dtype=float)
+    if z.shape != (B,):
+        raise ValueError(f"expected a length-{B} vector, got shape {z.shape}")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("non-finite observation")
+    if not (sigma_eff > 0 and math.isfinite(sigma_eff)):
+        raise ValueError("sigma_eff must be positive and finite")
+    lb = math.log2(B)
+    u = z * (math.sqrt(lb) / sigma_eff)
+    u[0] += lb / (sigma_eff * sigma_eff)
+    m = u.max()
+    lse = m + math.log(np.exp(u - m).sum())
+    return np.exp(u - lse)
+
+
 def direct_coupling_matrix(Gamma, w, shape):
     """Coupling variances built with explicit loops from the definition.
 

@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import full_stats
 from oracles import b2_entropy_quad, b2_mmse_quad
 from scse import (CoupledParams, DEGRADED_EQUAL, ErrorProfile, MCConfig,
                   STRICTLY_DEGRADED, UnderlyingParams,
@@ -27,7 +28,7 @@ from scse import (CoupledParams, DEGRADED_EQUAL, ErrorProfile, MCConfig,
                   potential_coupled, potential_energy_underlying,
                   potential_threshold, rectangular_design, saturate_profile,
                   se_step_coupled, shift, sigma_underlying)
-from scse.denoiser import _chunks, gaussian_block, section_stats
+from scse.denoiser import _chunks, gaussian_block
 from scse.thresholds import BracketingError
 from scse.verification import i_mmse_report, nishimori_report, verify_smoothness, verify_telescoping
 
@@ -231,8 +232,8 @@ def _mc_entropy_diff(p, sig_hi, sig_lo, mc):
     acc = acc2 = 0.0
     for a, b in _chunks(n):
         z = gaussian_block(mc.seed, p.B, a, b)
-        d = (section_stats(z, sig_hi, p.B)["entropy"]
-             - section_stats(z, sig_lo, p.B)["entropy"])
+        d = (full_stats(z, sig_hi, p.B)["entropy"]
+             - full_stats(z, sig_lo, p.B)["entropy"])
         acc += float(d.sum())
         acc2 += float((d * d).sum())
     mean = acc / n

@@ -354,6 +354,24 @@ def test_sweep_single_section_size(tmp_path):
     assert len(rows) == 1 and rows[0].split(",")[0] == "4"
 
 
+def test_sweep_keeps_the_sizes_that_solve(tmp_path, capsys):
+    # at snr 15 the B=2 recursion has no spinodal, so its threshold search
+    # fails; the sweep once stopped there and wrote no sweep.csv.  It reports
+    # B=2 with its history, still writes B=4's row as a sweep of B=4 alone
+    # writes it, and exits 1
+    args = ["--tol-R", "0.1", "--gamma", "48", "--w", "2", "--samples", "2000",
+            "--n-points", "32"]
+    assert main(["sweep", "--B-list", "2,4", *args, "--outdir", str(tmp_path / "both")]) == 1
+    err = capsys.readouterr().err
+    assert "threshold search failed at B=2" in err
+    assert "  R=8.000000 success=True" in err  # the search's history
+    assert main(["sweep", "--B-list", "4", *args, "--outdir", str(tmp_path / "four")]) == 0
+    _, header, rows = _read_csv(tmp_path / "both" / "sweep.csv")
+    _, _, alone = _read_csv(tmp_path / "four" / "sweep.csv")
+    assert header == "B,snr,Gamma,w,R_u,R_pot,R_c,C"
+    assert len(rows) == 1 and rows == alone
+
+
 def _reference_trace(step, start, tol, max_iters):
     """The trace rows as an explicit step loop writes them, with residuals."""
     rows = [(0, math.nan, start)]

@@ -5,24 +5,27 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from scse import (MCConfig, MonotoneTable, UnderlyingParams, build_tables,
-                  capacity, default_n_samples, denoise_section, denoiser,
-                  entropy_estimate, gaussian_block, isotonic_increasing,
-                  mmse_estimate, sigma_underlying)
+                  capacity, default_n_samples, denoiser, entropy_estimate,
+                  gaussian_block, isotonic_increasing, mmse_estimate,
+                  sigma_underlying)
 from scse.denoiser import _scores, default_sigma_span, section_stats, stream_moments
 from scse.ensemble import RATE_CAP, RATE_FLOOR
 from scse.verification import I_MMSE_H, I_MMSE_SIGMA_GRID, NISHIMORI_E_GRID
 
-from conftest import MC_TWO_CHUNKS, SIGMA2, serial_untiled
+from conftest import MC_TWO_CHUNKS, SIGMA2, full_stats, serial_untiled
 
 from oracles import (b2_entropy_quad, b2_mmse_quad, b2_posterior_weight_quad,
-                     direct_softmax_denoiser, pav_brute_force)
+                     denoise_section, direct_softmax_denoiser, pav_brute_force)
 
 # Quadrature reference values at B=2 (64-node Gauss-Hermite; stable to
 # ~1e-13 against 127 nodes).
@@ -62,7 +65,7 @@ def test_gaussian_block_column_major_same_values(monkeypatch):
     # many tiles it is drawn in
     words = np.random.Generator(np.random.Philox(key=3)).random(100 * 4)
     expected = ndtri(np.maximum(words.reshape(100, 4), 1e-300))
-    for tile in (131072, 42):  # one tile, and tiles of 7 rows
+    for tile in (131072, 112):  # one tile, and tiles of 7 rows
         monkeypatch.setattr(denoiser, "_KERNEL_TILE", tile)
         for start, stop in ((0, 100), (37, 100), (5, 6)):
             z = gaussian_block(3, 4, start, stop)
@@ -166,7 +169,7 @@ def test_section_stats_matches_two_pass_softmax(B):
         ref = _two_pass_stats(zc, float(sigma), B)
         for z in (zc, zf):
             before = z.copy()
-            got = section_stats(z, float(sigma), B)
+            got = full_stats(z, float(sigma), B)
             np.testing.assert_array_equal(z, before)  # input left untouched
             for key in ("mmse", "entropy", "f1"):
                 np.testing.assert_allclose(got[key], ref[key], rtol=0, atol=1e-12,
@@ -197,7 +200,7 @@ def test_section_stats_clip_is_exact(B, sigma):
     shifted -= shifted.max(axis=1)[:, None]
     if math.log2(B) / sigma ** 2 > 300.0:  # all but (B=4, sigma=0.1)
         assert (shifted < -300.0).mean() > 0.2
-    got, ref = section_stats(z, sigma, B), _plain_stats(z, sigma, B)
+    got, ref = full_stats(z, sigma, B), _plain_stats(z, sigma, B)
     _assert_same_bits(got, ref)
 
 
@@ -208,59 +211,68 @@ def _assert_same_stats(got, want):
 
 
 def test_section_stats_outputs_are_fresh():
-    # the thread's scratch is reused across calls; the outputs never are
-    z = gaussian_block(3, 16, 0, 10_000)
+    # the thread's scratch is reused across calls and tiles; a call's rows
+    # never are, so two calls walked side by side, as the I-MMSE job walks
+    # five, leave each other's rows, z and the scratch alone
+    z = gaussian_block(3, 16, 0, 40_000)
     before = z.copy()
-    first = section_stats(z, 0.5, 16)
-    kept = {key: v.copy() for key, v in first.items()}
-    second = section_stats(z, 0.7, 16)
+    want = [full_stats(z, sigma, 16) for sigma in (0.5, 0.7)]
+    tiles = denoiser._tiles(len(z), 16)
+    assert len(tiles) > 1
+    scratch = denoiser._kernel_scratch(max(b - a for a, b in tiles), 16)
+    walk = zip(tiles, section_stats(z, 0.5, 16), section_stats(z, 0.7, 16), strict=True)
+    for (a, b), first, second in walk:
+        for rows, full in zip((first, second), want):
+            assert rows.shape == (3, b - a)
+            assert not np.shares_memory(rows, z)
+            assert not np.shares_memory(rows, scratch)
+            for one, other in itertools.combinations(rows, 2):
+                assert not np.shares_memory(one, other)
+            _assert_same_stats(dict(zip(full, rows)), {k: v[a:b] for k, v in full.items()})
+        assert not np.shares_memory(first, second)
     np.testing.assert_array_equal(z, before)
-    for a in first.values():
-        assert not np.shares_memory(a, z)
-        for b in second.values():
-            assert not np.shares_memory(a, b)
-    for one, other in itertools.combinations(first.values(), 2):
-        assert not np.shares_memory(one, other)
-    _assert_same_stats(first, kept)  # the second call wrote nothing into the first's
 
 
 @pytest.mark.parametrize("B", [2, 16])
 def test_section_stats_selected_keys_bit_identical(B):
-    # every ordered choice of statistics gives the full call's bits, as the
-    # rows of one new (len(keys), n) block, on decided, mixed and undecided
-    # tiles, with and without the chunk's bounds
+    # every ordered choice of statistics gives the full call's bits, each
+    # tile as the rows of the call's one (len(keys), rows) block, on decided,
+    # mixed and undecided tiles, with and without the chunk's bounds
     z = gaussian_block(4, B, 0, 30_001)
     bounds = denoiser._row_bounds(z)
     keys_all = ("mmse", "entropy", "f1")
     for sigma in (0.02, 0.1, 0.3, 1.0, 2.5):
-        want = section_stats(z, sigma, B)
+        want = full_stats(z, sigma, B)
         assert list(want) == list(keys_all)
         for k in (1, 2, 3):
             for keys in itertools.permutations(keys_all, k):
                 for bnd in (None, bounds):
-                    got = section_stats(z, sigma, B, bnd, keys)
-                    assert list(got) == list(keys)
-                    rows = list(got.values())
-                    assert rows[0].base.shape == (k, len(z))
-                    assert all(row.base is rows[0].base for row in rows)
+                    blocks, parts = set(), []
+                    for rows in section_stats(z, sigma, B, bnd, keys):
+                        assert rows.shape[0] == k and rows.base.shape[0] == k
+                        blocks.add(id(rows.base))
+                        parts.append(rows.copy())
+                    assert len(blocks) == 1
+                    got = dict(zip(keys, np.hstack(parts)))
                     _assert_same_bits(got, {key: want[key] for key in keys})
     for keys in (("mmse", "mmse"), ("f2",), ("entropy", "f1", "mmse", "f1")):
         with pytest.raises(ValueError, match="keys"):
-            section_stats(z, 1.0, B, keys=keys)
+            full_stats(z, 1.0, B, keys=keys)
 
 
 def test_section_stats_alternating_B_matches_untiled():
     # every change of B or of the row count makes the thread's scratch anew.
-    # At the default kernel tile, 40000 rows end on a partial tile at each B
-    # (32768, 21845, 7281 and 3855 rows per tile at B = 2, 4, 16, 32), and
-    # 3000 rows fit in one tile larger than the block at every B
+    # At the default kernel tile, 40000 rows split into leaves of unequal
+    # size at B=32 (2496 and 2504 rows) and of 20000, 20000 and 5000 rows at
+    # B = 2, 4 and 16, and 3000 rows fit in one tile larger than the block at
+    # every B
     cases = [(B, sigma, n) for n in (40_000, 3000)
              for B, sigma in ((2, 0.3), (4, 0.05), (16, 1.2), (32, 0.4),
                               (4, 2.0), (2, 0.02), (32, 0.9), (16, 0.1))]
     blocks = {(B, n): gaussian_block(5, B, 0, n) for B, _, n in cases}
-    got = [section_stats(blocks[B, n], sigma, B) for B, sigma, n in cases]
+    got = [full_stats(blocks[B, n], sigma, B) for B, sigma, n in cases]
     with serial_untiled():
-        want = [section_stats(blocks[B, n], sigma, B) for B, sigma, n in cases]
+        want = [full_stats(blocks[B, n], sigma, B) for B, sigma, n in cases]
     for g, w in zip(got, want):
         _assert_same_stats(g, w)
 
@@ -274,12 +286,12 @@ def test_section_stats_concurrent_on_pool():
     sigmas = [float(s) for s in np.geomspace(0.02, 3.0, 6)]
     cases = ([(B, sigma) for B in blocks for sigma in sigmas]
              + [(B, sigma) for sigma in sigmas for B in blocks])
-    want = [section_stats(blocks[B], sigma, B) for B, sigma in cases]
+    want = [full_stats(blocks[B], sigma, B) for B, sigma in cases]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         got = list(denoiser._executor(min((os.cpu_count() or 1) + 1, 9)).map(
-            lambda case: section_stats(blocks[case[0]], case[1], case[0]), cases, timeout=120))
+            lambda case: full_stats(blocks[case[0]], case[1], case[0]), cases, timeout=120))
     finally:
         sys.setswitchinterval(interval)
     for g, w in zip(got, want):
@@ -328,28 +340,28 @@ def test_decided_tiles_bit_identical(mc_layout, monkeypatch, B):
     z = gaussian_block(13, B, 0, 30_001)
     bounds = denoiser._row_bounds(z)
     start = z.ctypes.data
-    step = max(1, denoiser._KERNEL_TILE // (B + 2))
+    tiles = denoiser._tiles(z.shape[0], B)
     kinds = set()
     for sigma in np.geomspace(*default_sigma_span(UnderlyingParams(B=B, R=1.0, sigma2=SIGMA2)), 24):
         sigma = float(sigma)
         rows = _decided_rows(z, sigma, B)
         with pytest.MonkeyPatch.context() as mp:
             full = _full_tiles(mp)
-            got = section_stats(z, sigma, B)
+            got = full_stats(z, sigma, B)
         ran = {(v.ctypes.data - start) // 8 for v in full}
-        for a in range(0, z.shape[0], step):
-            decided = rows[a:a + step]
+        for a, b in tiles:
+            decided = rows[a:b]
             kinds.add("decided" if decided.all() else "mixed" if decided.any() else "undecided")
             assert (a not in ran) == decided.all(), (sigma, a)
         assert (got["mmse"][rows] == 0.0).all() and not np.signbit(got["mmse"][rows]).any()
         with pytest.MonkeyPatch.context() as mp:
             full = _full_tiles(mp)
-            chunk = section_stats(z, sigma, B, bounds)
+            chunk = full_stats(z, sigma, B, bounds)
         assert {(v.ctypes.data - start) // 8 for v in full} == ran, sigma
         _assert_same_bits(chunk, got)
         with pytest.MonkeyPatch.context() as mp:
             _never_decided(mp)
-            want = section_stats(z, sigma, B)
+            want = full_stats(z, sigma, B)
         _assert_same_bits(got, want)
     assert kinds == {"decided", "mixed", "undecided"}, kinds
 
@@ -372,15 +384,15 @@ def test_decided_path_with_nonfinite_z(monkeypatch, B):
     z[17, 1:] = -math.inf
     cases += [(z, 0.05), (base, 1e-160)]
     full = _full_tiles(monkeypatch)
-    section_stats(base, 0.05, B)
+    full_stats(base, 0.05, B)
     assert not full  # the finite block is decided
     for z, sigma in cases:
         full.clear()
-        got = section_stats(z, sigma, B)
+        got = full_stats(z, sigma, B)
         assert len(full) == 1, (z[17], sigma)
         with pytest.MonkeyPatch.context() as mp:
             _never_decided(mp)
-            want = section_stats(z, sigma, B)
+            want = full_stats(z, sigma, B)
         _assert_same_bits(got, want)
     if B > 2:
         # a -inf below a finite off max leaves the row decided: the full
@@ -388,11 +400,11 @@ def test_decided_path_with_nonfinite_z(monkeypatch, B):
         z = base.copy()
         z[17, 1] = -math.inf
         full.clear()
-        got = section_stats(z, 0.05, B)
+        got = full_stats(z, 0.05, B)
         assert not full
         with pytest.MonkeyPatch.context() as mp:
             _never_decided(mp)
-            _assert_same_bits(got, section_stats(z, 0.05, B))
+            _assert_same_bits(got, full_stats(z, 0.05, B))
 
 
 def _rows_at_gap(B, gaps):
@@ -418,44 +430,44 @@ def test_decided_margin_is_safe_and_needed(monkeypatch, B):
     z, gap = _rows_at_gap(B, inside)
     assert ((gap > lo) & (gap < M)).all()
     full = _full_tiles(monkeypatch)
-    st = section_stats(z, 1.0, B)
+    st = full_stats(z, 1.0, B)
     assert len(full) == 1  # below M: not decided, so the full passes ran
     for key, want in (("mmse", 0.0), ("entropy", 0.0), ("f1", 1.0)):
         assert (st[key] == want).all() and not np.signbit(st[key]).any(), key
 
     z, gap = _rows_at_gap(B, [M + 0.5])
     full.clear()
-    st = section_stats(z, 1.0, B)
+    st = full_stats(z, 1.0, B)
     assert not full and gap[0] >= M  # at M and above: decided, the same bits
     assert (st["mmse"][0], st["entropy"][0], st["f1"][0]) == (0.0, 0.0, 1.0)
 
     z, gap = _rows_at_gap(B, [30.0])
     assert abs(gap[0] - 30.0) < 1e-9
-    st = section_stats(z, 1.0, B)
+    st = full_stats(z, 1.0, B)
     assert st["f1"][0] < 1.0 and st["entropy"][0] > 0.0
 
 
-_BOUNDS_TILE = 333  # kernel tile rows in the row-bounds sweep; 3000 rows end on a 3-row tile
+_BOUNDS_TILE = 333  # kernel tile rows in the row-bounds sweep: 3000 rows make 16 leaves of 184 and 192 rows
 
 
 def _bounds_block(B):
     """Gaussian rows with special rows in tiles 1, 3, 5, 7 and 8 of the
-    sweep's kernel tiles; tiles 0, 2, 4, 6 and 9 hold Gaussian rows only.
+    sweep's kernel tiles; the other tiles hold Gaussian rows only.
 
     Tile 7 holds a row with u_1 far below an off max of 0 and tile 8 one
     with u_1 far below an off max of 1000 c, every other score as far: at
     sigma = 1 their shifted transmitted scores are below -300.
     """
     z = gaussian_block(17, B, 0, 3000)
-    t = _BOUNDS_TILE
-    z[t + 17, B - 1] = math.nan
-    z[3 * t + 5, 0] = math.inf
-    z[3 * t + 40, 1] = -math.inf
-    z[5 * t + 9, 0] = -math.inf
-    z[7 * t + 3] = 0.0
-    z[7 * t + 3, 0] = -1000.0
-    z[8 * t + 4] = -1000.0
-    z[8 * t + 4, 1] = 1000.0
+    t = [a for a, _ in denoiser._tiles(len(z), B)]
+    z[t[1] + 17, B - 1] = math.nan
+    z[t[3] + 5, 0] = math.inf
+    z[t[3] + 40, 1] = -math.inf
+    z[t[5] + 9, 0] = -math.inf
+    z[t[7] + 3] = 0.0
+    z[t[7] + 3, 0] = -1000.0
+    z[t[8] + 4] = -1000.0
+    z[t[8] + 4, 1] = 1000.0
     return z
 
 
@@ -468,7 +480,7 @@ def test_chunk_row_bounds_bit_identical(monkeypatch, B):
     monkeypatch.setattr(denoiser, "_KERNEL_TILE", _BOUNDS_TILE * (B + 2))
     z = _bounds_block(B)
     bounds = denoiser._row_bounds(z)
-    assert bounds.off_max.shape == (len(z),) and bounds.tile_gap.shape == (10,)
+    assert bounds.off_max.shape == (len(z),) and bounds.tile_gap.shape == (16,)
     # a non-finite entry, or a |z| of 1000, leaves its tile to the row test
     assert np.flatnonzero(np.isnan(bounds.tile_gap)).tolist() == [1, 3, 5, 7, 8]
     before = z.copy()
@@ -477,11 +489,11 @@ def test_chunk_row_bounds_bit_identical(monkeypatch, B):
     for sigma in [float(s) for s in np.geomspace(*span, 24)] + [1e-3, 1.0]:
         with pytest.MonkeyPatch.context() as mp:
             full = _full_tiles(mp)
-            got = section_stats(z, sigma, B, bounds)
+            got = full_stats(z, sigma, B, bounds)
         ran.add(len(full))
-        _assert_same_bits(got, section_stats(z, sigma, B))
+        _assert_same_bits(got, full_stats(z, sigma, B))
     np.testing.assert_array_equal(z, before)
-    assert min(ran) < 10 == max(ran)  # some tiles skipped at small sigma, none at large
+    assert min(ran) < 16 == max(ran)  # some tiles skipped at small sigma, none at large
 
 
 def _undecided_tile_floors(z, sigma, B):
@@ -499,7 +511,7 @@ def _undecided_tile_floors(z, sigma, B):
     gap = off_max - u1
     low = np.minimum(u1, np.multiply(z[:, 1:].min(axis=1), c)) - np.maximum(off_max, u1)
     margin = -denoiser._decided_margin(B)
-    return [float(low[a:b].min()) for a, b in denoiser._tiles(0, len(z), B)
+    return [float(low[a:b].min()) for a, b in denoiser._tiles(len(z), B)
             if not (gap[a:b].max() <= margin and gap[a:b].min() > -math.inf)]
 
 
@@ -546,7 +558,7 @@ def test_tile_statistic_census(census_cases):
         gap = np.multiply(chunk.off_max, c) - u1  # the row test's bound, as the kernel forms it
         margin = -denoiser._decided_margin(B)
         verdicts = denoiser._tile_verdicts(chunk.tile_gap, c, d, B)
-        for (a, b), verdict in zip(denoiser._tiles(0, len(z), B), verdicts, strict=True):
+        for (a, b), verdict in zip(denoiser._tiles(len(z), B), verdicts, strict=True):
             counts[verdict] += 1
             if verdict is not None:
                 exact = gap[a:b].max() <= margin and gap[a:b].min() > -math.inf
@@ -555,14 +567,38 @@ def test_tile_statistic_census(census_cases):
     assert counts[True] > 1000 and counts[False] > 1000 and share < 0.01, (counts, share)
 
 
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 2 ** 17), budget=st.integers(0, 2 ** 19),
+       B=st.sampled_from([2, 4, 16, 64]), seed=st.integers(0, 2 ** 32 - 1))
+def test_tile_sums_add_up_to_numpy_sum(n, budget, B, seed):
+    # the identity _moments rests on: for any n and tile budget, _tiles'
+    # leaves partition [0, n), and their np.sums added in tree order are
+    # np.sum of the whole array bit for bit, for v and for v*v; _moments
+    # then gives v.sum() and (v * v).sum() from v's tiles
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n) * np.exp(rng.uniform(-20.0, 20.0, n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(denoiser, "_KERNEL_TILE", budget)
+        tiles = denoiser._tiles(n, B)
+        assert [a for a, _ in tiles] == [0] + [b for _, b in tiles[:-1]]
+        assert tiles[-1][1] == n and all(a < b for a, b in tiles)
+        for x in (v, v * v):
+            got = 0.0 + denoiser._pairwise_add([np.sum(x[a:b]) for a, b in tiles], n, B)
+            assert got.tobytes() == np.sum(x).tobytes()
+        z = np.broadcast_to(0.0, (n, B))  # _moments reads only its shape
+        sums = denoiser._moments(lambda z, bounds: (v[None, a:b] for a, b in tiles), z, None)
+    assert sums.tobytes() == np.array([[v.sum(), (v * v).sum()]]).tobytes()
+
+
 def test_stream_plans_hands_each_plan_its_own_jobs():
     # plans of one, two and three statistics per job share one pass; each
     # finish step gets exactly a stream_moments pass over its own jobs
     mc = MCConfig(seed=0, n_samples=100)
-    jobs = [[lambda z, bounds: [z[:, 0]]],
-            [lambda z, bounds: [z[:, 1], bounds.off_max],
-             lambda z, bounds: [z[:, 1] - bounds.off_max]],
-            [lambda z, bounds: [z[:, 0] * z[:, 1], z[:, 1], z[:, 0]]]]
+    assert len(denoiser._tiles(100, 2)) == 1  # so each job yields one tile
+    jobs = [[lambda z, bounds: [np.array([z[:, 0]])]],
+            [lambda z, bounds: [np.array([z[:, 1], bounds.off_max])],
+             lambda z, bounds: [np.array([z[:, 1] - bounds.off_max])]],
+            [lambda z, bounds: [np.array([z[:, 0] * z[:, 1], z[:, 1], z[:, 0]])]]]
     got = denoiser.stream_plans(mc, 2, [denoiser.Plan(j, lambda m, s: (m, s)) for j in jobs])
     for (means, stderrs), own in zip(got, jobs):
         want_means, want_stderrs = stream_moments(mc, 2, own)
@@ -603,7 +639,7 @@ def test_denoise_section_validation():
 def test_section_stats_consistency():
     rng = np.random.default_rng(2)
     z = rng.normal(size=(50, 4))
-    st = section_stats(z, 0.8, 4)
+    st = full_stats(z, 0.8, 4)
     for i in range(50):
         f = denoise_section(z[i], 0.8, 4)
         assert st["f1"][i] == pytest.approx(f[0], abs=1e-12)
@@ -631,7 +667,7 @@ def test_nishimori_identity_same_samples():
     # the stderr of the per-sample difference, not of either side alone.
     sigma = 1.0
     z = gaussian_block(0, 2, 0, 40_000)
-    st = section_stats(z, sigma, 2)
+    st = full_stats(z, sigma, 2)
     d = st["mmse"] - (1.0 - st["f1"])
     stderr = d.std(ddof=1) / math.sqrt(d.size)
     assert abs(d.mean()) <= 3 * stderr
@@ -743,8 +779,9 @@ def test_common_random_numbers_smooth_differences(params_b2, mc_small, tables_b2
     k = int(np.argmin(np.abs(g - 1.0)))
 
     def difference(z, bounds):
-        lo, hi = (section_stats(z, float(s), params_b2.B, bounds)["mmse"] for s in g[k:k + 2])
-        return [hi - lo]
+        lo, hi = (section_stats(z, float(s), params_b2.B, bounds, ("mmse",)) for s in g[k:k + 2])
+        for mmse_lo, mmse_hi in zip(lo, hi):
+            yield mmse_hi - mmse_lo
 
     _, (diff_stderr,) = stream_moments(mc_small, params_b2.B, [difference])
     independent = math.hypot(mmse_t.stderrs[k], mmse_t.stderrs[k + 1])
@@ -839,6 +876,26 @@ def test_build_tables_chunk_memory(monkeypatch, workers):
     finally:
         tracemalloc.stop()
     assert peak < 12.5 * 2 ** 20
+
+
+def test_build_tables_b4_memory(monkeypatch):
+    # one worker in a fresh thread, so its kernel scratch is made inside the
+    # trace: the peak stays below the 2 MiB Gaussian block plus one kernel
+    # scratch of _KERNEL_TILE doubles plus 7/8 of a 65536-row array, too
+    # little for a chunk-long statistic or the square of one
+    monkeypatch.setattr(denoiser, "_WORKERS", 1)
+    p, mc = UnderlyingParams(B=4, R=1.5, sigma2=1 / 15), MCConfig(seed=0, n_samples=65536)
+    build_tables(p, mc, n_points=16)  # first-call work outside the trace
+    thread = threading.Thread(target=build_tables, args=(p, mc, 16))
+    tracemalloc.start()
+    try:
+        thread.start()
+        thread.join()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row = 65536 * 8  # bytes of one 65536-row array
+    assert peak < 4 * row + 8 * denoiser._KERNEL_TILE + row * 7 // 8, peak
 
 
 def test_estimate_stderr_scales_with_n():

@@ -238,9 +238,11 @@ def test_nishimori_catches_planted_sign_error(params_b4, monkeypatch):
     real = verification.section_stats
 
     def flipped(z, sigma, B, bounds, keys):
-        st = real(z, sigma, B, bounds, keys)
-        st["mmse"] = st["mmse"] + 4.0 * st["f1"]  # sign error on the -2 f1 term
-        return st
+        assert keys == ("mmse", "f1")
+        for rows in real(z, sigma, B, bounds, keys):
+            mmse, f1 = rows
+            mmse += 4.0 * f1  # sign error on the -2 f1 term
+            yield rows
 
     monkeypatch.setattr(verification, "section_stats", flipped)
     rep = nishimori_report(params_b4, MCConfig(seed=0, n_samples=20_000))
