@@ -2,9 +2,8 @@
 potential functions and threshold solvers for the underlying and spatially
 coupled ensembles, with a Monte-Carlo verification suite."""
 
-from .denoiser import (Estimate, MCConfig, MonotoneTable, build_tables,
-                       default_n_samples, entropy_estimate, gaussian_block,
-                       isotonic_increasing, mmse_estimate)
+from .denoiser import (MCConfig, MonotoneTable, build_tables,
+                       default_n_samples, gaussian_block, isotonic_increasing)
 from .ensemble import (CoupledParams, CouplingMatrix, DesignFunction,
                        UnderlyingParams, asymmetric_exponential_design,
                        build_coupling_matrix, capacity, effective_rate,

@@ -96,8 +96,8 @@ def _write_json(path: str, payload) -> None:
     atomic_write(path, [json.dumps(payload, indent=2) + "\n"])
 
 
-def _write_csv(path: str, cfg: RunConfig, header: str, rows) -> None:
-    lines = ["# config=" + json.dumps(cfg.to_dict(), sort_keys=True), header]
+def _write_csv(path: str, config: dict, header: str, rows) -> None:
+    lines = ["# config=" + json.dumps(config, sort_keys=True), header]
     for row in rows:
         lines.append(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
                               else str(v) for v in row))
@@ -146,7 +146,7 @@ def cmd_se(cfg: RunConfig, mode: str, e_init: float) -> int:
         final = {"profile": run.final.values.tolist(),
                  "profile_max": float(run.final.values.max())}
         header = "iteration,residual," + ",".join(f"E_{r}" for r in range(1, cfg.Gamma + 1))
-    _write_csv(_out(cfg, f"se_trace_{mode}.csv"), cfg, header, trace)
+    _write_csv(_out(cfg, f"se_trace_{mode}.csv"), cfg.to_dict(), header, trace)
     _write_json(_out(cfg, f"se_report_{mode}.json"),
                 {"config": cfg.to_dict(), "mode": mode, "converged": run.converged,
                  "iterations": run.iterations, "residual": run.residual, **final})
@@ -166,7 +166,7 @@ def cmd_potential(cfg: RunConfig) -> int:
             for E, F, U, S, err, lb in zip(curve.E_grid, curve.F_values,
                                            curve.U_values, curve.S_values,
                                            curve.stderrs, large)]
-    _write_csv(_out(cfg, "potential_curve.csv"), cfg, "E,F,U,S,stderr,F_large_B", rows)
+    _write_csv(_out(cfg, "potential_curve.csv"), cfg.to_dict(), "E,F,U,S,stderr,F_large_B", rows)
     gap = free_energy_gap(p, tables, tol=cfg.tol)
     _write_json(_out(cfg, "gap_report.json"),
                 {"config": cfg.to_dict(), "delta_F": gap.delta_F,
@@ -201,7 +201,7 @@ def cmd_thresholds(cfg: RunConfig) -> int:
                      "evaluations": rep.evaluations, "metadata": rep.metadata})
     row = (cfg.B, cfg.snr, cfg.Gamma, cfg.w, r_u.value, r_pot.value, r_c.value,
            capacity(cfg.snr))
-    _write_csv(_out(cfg, "thresholds.csv"), cfg, SWEEP_HEADER, [row])
+    _write_csv(_out(cfg, "thresholds.csv"), cfg.to_dict(), SWEEP_HEADER, [row])
     print(f"R_u={r_u.value:.4f}  R_pot={r_pot.value:.4f}  "
           f"R_c={r_c.value:.4f}  C={capacity(cfg.snr):.4f}")
     return 0
@@ -223,7 +223,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig, b_list) -> int:
     """One threshold row per section size.  A size whose search fails is
     reported on stderr and left out; sweep.csv holds the rows that solved,
-    in b_list order, and the exit code is 1 if any size failed."""
+    in b_list order, and the exit code is 1 if any size failed.  Its config
+    line records the sizes swept as B_list, in place of the unused B."""
     rows = []
     for B in b_list:
         sub = replace(cfg, B=B)
@@ -235,7 +236,9 @@ def cmd_sweep(cfg: RunConfig, b_list) -> int:
         rows.append((B, cfg.snr, cfg.Gamma, cfg.w, r_u.value, r_pot.value,
                      r_c.value, capacity(cfg.snr)))
         print(f"B={B}: R_u={r_u.value:.4f} R_pot={r_pot.value:.4f} R_c={r_c.value:.4f}")
-    _write_csv(_out(cfg, "sweep.csv"), cfg, SWEEP_HEADER, rows)
+    config = dict(cfg.to_dict(), B_list=list(b_list))
+    del config["B"]
+    _write_csv(_out(cfg, "sweep.csv"), config, SWEEP_HEADER, rows)
     return 0 if len(rows) == len(b_list) else 1
 
 

@@ -15,44 +15,46 @@ normal CDF.  Estimates are therefore bit-identical for a given
 reuses the same underlying Gaussians (common random numbers).  R enters only
 through Sigma(E) = sqrt(R (sigma2 + E)), so one table pair serves every rate.
 
-stream_moments runs the per-chunk jobs of every estimator on a thread pool
-sized to the CPUs the process may use (numpy releases the interpreter lock in
-its loops).  A job yields its per-sample statistics kernel tile by kernel
-tile, and the tiles are the leaves of numpy's pairwise summation tree over
-the chunk (_tiles).  Each tile's rows are reduced to (sum, sum of squares)
-at once and the tile sums are added in the tree's order, which gives v.sum()
-and (v * v).sum() of the statistic's whole chunk v bit for bit, though no
-chunk-long statistic is formed.  The chunk sums are added in stream order, so
-results are bit-identical for any worker count and any tile budget.  The
-pool runs only these jobs: gaussian_block draws each chunk on the calling
-thread first.
+stream_moments walks the stream one kernel tile at a time.  The tiles are
+the leaves of numpy's pairwise summation tree over each chunk (_tiles), at
+most _KERNEL_TILE // (B + 2) rows.  Per tile, gaussian_block draws only that
+tile's rows on the calling thread, _row_bounds forms their bounds, and the
+jobs of every estimator run on that block on a thread pool sized to the CPUs
+the process may use (numpy releases the interpreter lock in its loops).
+Each job returns its per-sample statistics for the tile, whose rows are
+reduced at once to (sum, sum of squares).  At the end of a chunk the tile
+sums are added in the tree's order, which gives v.sum() and (v * v).sum() of
+the statistic's whole chunk v bit for bit, and the chunk sums are added in
+stream order, so results are bit-identical for any worker count and any
+tile budget.  No chunk-long array is formed: the pass holds one tile's
+Gaussian block, at most _KERNEL_TILE doubles (1.2 MB) up to B = 1024, where
+a 65536-row chunk is 8 MB at B=16 and 512 MiB at B=1024.
 
 Each estimator is a Plan: its stream_moments jobs plus a finish step that
 maps their (means, stderrs) to its result.  stream_plans runs several plans
 in one pass over the stream and keeps each job's sums apart, so every finish
 step gets its own jobs' statistics and `scse verify` draws each Gaussian row
 once for its tables and both identity checks; a statistic's chunk sums are
-the same whichever plans share the pass.  Per chunk, stream_moments also
-forms the block's bounds (_row_bounds) and hands them to every job: the row
-vector max_{j>1} z_j, and per kernel tile the largest max_{j>1} z_j - z_1
-over its rows.  Neither depends on Sigma, so section_stats reads them instead
-of reducing z's off columns again at every node.
+the same whichever plans share the pass.  A tile's bounds are the row vector
+max_{j>1} z_j and the largest max_{j>1} z_j - z_1 over its rows.  Neither
+depends on Sigma, so section_stats reads them instead of reducing z's off
+columns again at every node.
 
 section_stats forms only the statistics its caller names (mmse, entropy,
 f1): a table node reads mmse and entropy, a Nishimori point mmse and f1, an
-I-MMSE difference one entropy at a time.  It yields them tile by tile as the
-rows of one tile-sized block per call, which the job combines in place and
-passes on.  Nothing else is allocated per tile: each thread keeps one score
-buffer and two row vectors across tiles and calls, every pass writes in
-place or through out=, and the row results go straight into the block.
+I-MMSE difference one entropy at a time.  It handles one tile per call and
+returns them as the rows of one new array, which the job combines in place
+and returns.  Nothing else is allocated per call: each thread keeps one
+score buffer and two row vectors across calls, every pass writes in place or
+through out=, and the row results go straight into the returned array.
 
 section_stats skips every kernel tile whose rows are decided: each off
 score sits so far below the transmitted one (_decided_margin) that the
 posterior is the transmitted index to machine precision, and the full passes
 would give exactly mmse = entropy = 0 and f1 = 1.  The row test reads the
-chunk's row maxima over z's off columns and is exact, not statistical (see
-section_stats).  The per-tile statistic of the bounds settles almost every
-tile at a Sigma without that test: it calls a tile decided only where every
+tile's row maxima over z's off columns and is exact, not statistical (see
+section_stats).  The tile statistic of the bounds settles almost every tile
+at a Sigma without that test: it calls a tile decided only where every
 row is, with a rounding allowance delta derived in section_stats, and leaves
 the few tiles within delta of the margin to the row test.  At the low-noise
 end of a table's grid, where the floor E0 and the pinned boundary blocks of
@@ -89,9 +91,11 @@ _CHUNK = 65536  # fixed so accumulation order never depends on n_samples
 # _KERNEL_TILE // (B + 2) rows, whose column-major scores and two row vectors
 # then fill 1.2 MB at any B and stay in a 2 MB L2 cache: 8192-row leaves on a
 # full B=16 chunk, and 8616 on the 34464-row last chunk of 10^5 samples,
-# which a budget of 147456 would split into 4304-row leaves.  The sampler
-# draws _KERNEL_TILE // (4 B) rows at a time, since ndtri keeps about four
-# arrays of a tile's words.  No result depends on either tile.
+# which a budget of 147456 would split into 4304-row leaves.  The Monte-Carlo
+# pass draws one leaf's Gaussian block at a time, and the sampler draws it
+# _KERNEL_TILE // (8 B) rows at a time: ndtri keeps about four arrays of a
+# step's words, half a kernel scratch, which the draw of the next leaf finds
+# alive on the pool's threads.  No result depends on either tile.
 _KERNEL_TILE = 157286
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -107,13 +111,6 @@ class MCConfig:
             raise ValueError("seed must fit an unsigned 64-bit integer")
         if int(self.n_samples) != self.n_samples or self.n_samples < 1:
             raise ValueError("n_samples must be a positive integer")
-
-
-@dataclass(frozen=True)
-class Estimate:
-    value: float
-    stderr: float
-    n: int
 
 
 def default_n_samples(B: int) -> int:
@@ -304,13 +301,15 @@ def gaussian_block(seed: int, B: int, start: int, stop: int) -> np.ndarray:
     """Rows start..stop-1 of the deterministic sample-by-sample normal stream.
 
     The (rows, B) block is column-major, so each component is one contiguous
-    column and section_stats reduces across components column by column.  It
-    is drawn on the calling thread in tiles of _KERNEL_TILE // (4 B) rows, so
-    only one tile of uniform words is alive at once; each tile reads its own
-    words, so the block does not depend on the tile.
+    column and section_stats reduces across components column by column.
+    stream_moments asks for one kernel tile's rows at a time.  The block is
+    drawn on the calling thread in steps of _KERNEL_TILE // (8 B) rows, so
+    only one step of uniform words is alive at once; each row reads its own
+    words, so the block does not depend on the steps, and any split of
+    start..stop into blocks gives the same rows bit for bit.
     """
     z = np.empty((stop - start, B), order="F")
-    step = max(1, _KERNEL_TILE // (4 * B))
+    step = max(1, _KERNEL_TILE // (8 * B))
     for a in range(start, stop, step):
         b = min(a + step, stop)
         u = _uniform_words(seed, a * B, (b - a) * B)
@@ -336,13 +335,18 @@ _scratch = threading.local()
 
 
 def _kernel_scratch(rows: int, B: int) -> np.ndarray:
-    """This thread's rows*(B + 2) doubles: section_stats' score buffer of
-    rows*B and its two row vectors, made anew only when a call needs another
-    (rows, B)."""
-    s = _scratch
-    if getattr(s, "shape", None) != (rows, B):
-        s.shape, s.buf = (rows, B), np.empty(rows * (B + 2))
-    return s.buf
+    """This thread's buffer of at least rows*(B + 2) doubles: section_stats'
+    score buffer of rows*B and its two row vectors.  It is kept across calls
+    and made anew, at rows*(B + 2), only when a call needs more or less than
+    a quarter of it.  So a pass sizes it by the largest leaf a thread runs
+    (the leaves of one chunk differ by less than a factor 4), and one large
+    call leaves no large buffer behind."""
+    s, need = _scratch, rows * (B + 2)
+    buf = getattr(s, "buf", None)
+    if buf is None or not need <= buf.size <= 4 * need:
+        buf = s.buf = None  # release the old buffer before the new one is made
+        buf = s.buf = np.empty(need)
+    return buf
 
 
 def _decided_margin(B: int) -> float:
@@ -365,48 +369,52 @@ _STATS = ("mmse", "entropy", "f1")
 
 
 class RowBounds(NamedTuple):
-    """section_stats' bounds for a block z (_row_bounds)."""
+    """section_stats' bounds for one kernel tile's block z (_row_bounds)."""
 
-    off_max: np.ndarray    # max_{j>1} z_j of every row
-    tile_gap: np.ndarray   # per kernel tile, the largest off_max - z_1; NaN: test the rows
+    off_max: np.ndarray  # max_{j>1} z_j of every row
+    tile_gap: float      # the largest off_max - z_1 over the rows; NaN: test the rows
 
 
 def _row_bounds(z: np.ndarray) -> RowBounds:
-    """The row maxima over z's off columns and, per kernel tile (_tiles), the
-    largest fl(max_{j>1} z_j - z_1) over its rows, NaN where a |z_1| or an
-    off maximum of the tile exceeds _Z_CAP or is not finite.  stream_moments
-    forms them once per chunk."""
+    """The row maxima over z's off columns and the largest
+    fl(max_{j>1} z_j - z_1) over z's rows, NaN where a |z_1| or an off
+    maximum exceeds _Z_CAP or is not finite.  stream_moments forms them once
+    per kernel tile, for every job."""
     off_max = np.max(z[:, 1:], axis=1)
-    tiles = _tiles(len(z), z.shape[1])
-    gap = np.empty(len(tiles))
-    for k, (a, b) in enumerate(tiles):
-        m, z1 = off_max[a:b], z[a:b, 0]
-        size = np.maximum(np.abs(m).max(), np.abs(z1).max())  # NaN if either is
-        gap[k] = (m - z1).max() if size <= _Z_CAP else math.nan
-    return RowBounds(off_max, gap)
+    z1 = z[:, 0]
+    size = np.maximum(np.abs(off_max).max(), np.abs(z1).max())  # NaN if either is
+    return RowBounds(off_max, float((off_max - z1).max()) if size <= _Z_CAP else math.nan)
 
 
-def _tile_verdicts(tile_gap: np.ndarray, c: float, d: float, B: int) -> list:
-    """Per kernel tile, from its statistic g: True when every row is decided,
-    False when some row is not, None when the rows must be tested (see
-    section_stats for delta and the guard on c Z + d)."""
-    margin = _decided_margin(B)
+def _tile_verdict(tile_gap: float, c: float, d: float, B: int) -> bool | None:
+    """From a tile's statistic g: True when every row is decided, False when
+    some row is not, None when the rows must be tested (see section_stats
+    for delta and the guard on c Z + d)."""
     span = c * _Z_CAP + d
     if not span < 2.0 ** 1000:
-        return [None] * len(tile_gap)
+        return None
+    margin = _decided_margin(B)
     delta = (span + margin) * 2.0 ** -49
-    lo, hi = -margin - delta, -margin + delta
-    verdicts = []
-    for g in tile_gap.tolist():
-        G = c * g - d  # NaN for a NaN g, and then neither test holds
-        verdicts.append(True if G <= lo else False if G > hi else None)
-    return verdicts
+    G = c * tile_gap - d  # NaN for a NaN g, and then neither test holds
+    return True if G <= -margin - delta else False if G > -margin + delta else None
+
+
+@functools.lru_cache(maxsize=None)
+def _key_layout(keys: tuple) -> tuple:
+    """The rows of mmse, entropy and f1 in section_stats' array for keys
+    (None where not asked for), and a decided row's values in keys' order.
+    Raises ValueError for keys that are not distinct names from _STATS."""
+    if not set(keys) <= set(_STATS) or len(set(keys)) < len(keys):
+        raise ValueError(f"keys must be distinct names from {_STATS}, got {keys!r}")
+    fill = np.array([[1.0 if key == "f1" else 0.0] for key in keys])
+    fill.flags.writeable = False
+    return tuple(keys.index(key) if key in keys else None for key in _STATS), fill
 
 
 def section_stats(z: np.ndarray, sigma: float, B: int, bounds: RowBounds | None = None,
-                  keys: tuple = _STATS):
-    """Per-sample squared error, entropy summand and true-component weight,
-    yielded kernel tile by kernel tile.
+                  keys: tuple = _STATS) -> np.ndarray:
+    """Per-sample squared error, entropy summand and true-component weight
+    of every row of z, as a new (len(keys), rows) array.
 
     One exp pass over the shifted scores e = exp(u - max u) serves all three
     integrands:
@@ -420,27 +428,25 @@ def section_stats(z: np.ndarray, sigma: float, B: int, bounds: RowBounds | None 
     which mmse alone forms in the thread's scratch.  Each statistic's bits
     do not depend on which others are asked for.
 
-    The rows are walked in the tiles of _tiles, the leaves of numpy's
-    pairwise summation tree over z's n rows, at most _KERNEL_TILE // (B + 2)
-    rows each, and the call is a generator: per tile it yields a
-    (len(keys), tile rows) view whose rows are the statistics in keys'
-    order.  The view is a slice of one block per call, tile rows by the
-    largest tile, which the next tile overwrites; the caller may change its
-    rows in place before asking for the next tile, and no other call writes
-    them.  The passes run in the calling thread's scratch, a column-major
-    score buffer and two row vectors of the largest tile's rows, at most
-    1.2 MB, kept across tiles and calls.  Each pass writes in place or through out=,
-    and the row results go straight into the block, so a tile allocates
-    nothing.  numpy reduces a column-major tile across components one column
-    at a time, so no row depends on the tiling.  keys are checked when the
-    first tile is asked for.
+    z is one kernel tile: stream_moments calls section_stats once per leaf
+    of numpy's pairwise summation tree over a chunk (_tiles), at most
+    _KERNEL_TILE // (B + 2) rows, and the returned array's rows are the
+    statistics in keys' order.  The passes run in the calling thread's
+    scratch (_kernel_scratch), a column-major score buffer and two row
+    vectors of z's rows, at most 1.2 MB at a leaf, kept across calls.  Each
+    pass writes in place or through out=, and the row results go straight
+    into the returned array, the one allocation of a call.  numpy reduces a
+    column-major block across components one column at a time, so no row
+    depends on the other rows of z: any split of a block into tiles gives
+    the same rows bit for bit.  keys are checked on a call with keys not
+    seen before.
 
-    bounds is what stream_moments forms once per chunk (_row_bounds): the row
-    vector max_{j>1} z_j over all of z and a statistic g per kernel tile.
-    Neither depends on Sigma, so every node of a chunk shares them.  A call
-    without bounds forms the row vector from z and reads no tile statistic.
+    bounds is what stream_moments forms once per kernel tile (_row_bounds):
+    the row vector max_{j>1} z_j and the tile statistic g.  Neither depends
+    on Sigma, so every node of a tile shares them.  A call without bounds
+    forms the row vector from z and reads no tile statistic.
 
-    Decided tiles skip the kernel.  A row is decided when u_1 and
+    A decided tile skips the kernel.  A row is decided when u_1 and
     max_{j>1} u_j are finite and max_{j>1} u_j - u_1 <= -M, with
     M = _decided_margin(B).  Then max u = u_1 and sum e = sum e^2 = 1, so
     the passes below give exactly f1 = 1, mmse = 1 - 2 + 1 = +0.0 and
@@ -448,13 +454,13 @@ def section_stats(z: np.ndarray, sigma: float, B: int, bounds: RowBounds | None 
     sqrt(log2 B)/Sigma > 0 and rounding is monotone, so max_{j>1} fl(c z_j)
     = fl(c max_{j>1} z_j), and every shifted off score fl(u_j - u_1) is at
     most fl(fl(c max_{j>1} z_j) - u_1).  That bound is formed per row from
-    the off maxima.  When it is <= -M on every row of a tile, the tile's
-    rows are filled with (+0.0, +0.0, 1.0) and nothing else runs.  Any
-    other tile runs the full passes, with max u = max(fl(c max_{j>1} z_j),
-    u_1), the same value bit for bit as a row max over u.  A NaN or +inf in
-    z, or a -inf in its first column or in all of its others, keeps a row
-    undecided.  A -inf off entry below a finite row max does not; the full
-    passes give that row the same exact zeros, since exp(-inf) = 0.
+    the off maxima.  When it is <= -M on every row of z, the rows are
+    filled with (+0.0, +0.0, 1.0) and nothing else runs.  Otherwise the
+    full passes run, with max u = max(fl(c max_{j>1} z_j), u_1), the same
+    value bit for bit as a row max over u.  A NaN or +inf in z, or a -inf
+    in its first column or in all of its others, keeps a row undecided.  A
+    -inf off entry below a finite row max does not; the full passes give
+    that row the same exact zeros, since exp(-inf) = 0.
 
     The tile statistic settles almost every tile without the row test.  g
     is the largest fl(m - z_1) over the tile's rows, m = max_{j>1} z_j, and
@@ -481,67 +487,56 @@ def section_stats(z: np.ndarray, sigma: float, B: int, bounds: RowBounds | None 
 
     z is left untouched.
     """
-    if not set(keys) <= set(_STATS) or len(set(keys)) < len(keys):
-        raise ValueError(f"keys must be distinct names from {_STATS}, got {keys!r}")
+    (i_sq, i_ent, i_f1), fill = _key_layout(keys)
     n = z.shape[0]
     c, d = _score_scales(sigma, B)
-    tiles = _tiles(n, B)
     if bounds is None:
-        off_max, verdicts = np.max(z[:, 1:], axis=1), [None] * len(tiles)
+        off_max, decided = np.max(z[:, 1:], axis=1), None
     else:
-        off_max, verdicts = bounds.off_max, _tile_verdicts(bounds.tile_gap, c, d, B)
-    rows = max(b - a for a, b in tiles)
-    block = np.empty((len(keys), rows))
-    out = dict(zip(keys, block))
-    sq, ent, f1 = (out.get(key) for key in _STATS)
-    fill = np.array([[1.0 if key == "f1" else 0.0] for key in keys])
-    buf = _kernel_scratch(rows, B)
-    scores, r1, r2 = buf[:rows * B], buf[rows * B:rows * (B + 1)], buf[rows * (B + 1):]
-    margin = -_decided_margin(B)
-    ln_b = math.log(B)
-    for (a, b), decided in zip(tiles, verdicts, strict=True):
-        zt, m = z[a:b], b - a
-        mx, tot = r1[:m], r2[:m]
-        if decided is not True:
-            np.multiply(off_max[a:b], c, out=mx)  # max_{j>1} u_j
-            np.multiply(zt[:, 0], c, out=tot)
-            tot += d  # u_1
-        if decided is None:
-            gap = np.subtract(mx, tot, out=scores[:m])
-            # a NaN or +inf anywhere, or -inf in u_1, fails the first test, and
-            # u_1 = +inf or every u_j = -inf the second (see the docstring)
-            decided = gap.max() <= margin and gap.min() > -math.inf
-        if decided:
-            block[:, :m] = fill
-            yield block[:, :m]
-            continue
-        np.maximum(mx, tot, out=mx)
-        u = scores[:m * B].reshape(m, B, order="F")
-        _scores(zt, sigma, B, out=u)
-        u -= mx[:, None]
-        if ent is not None:
-            e = ent[:m]
-            e[:] = u[:, 0]  # u_1 - max u, until the entropy is formed below
-        np.exp(u, out=u)
-        np.add.reduce(u, axis=1, out=tot)
-        if sq is not None or f1 is not None:
-            f = mx if f1 is None else f1[:m]  # mx is spent once u is shifted
-            np.divide(u[:, 0], tot, out=f)
-        if sq is not None:
-            s = sq[:m]
-            np.square(u, out=u)
-            np.add.reduce(u, axis=1, out=s)  # sum e^2
-            tmp = scores[:m]  # u is spent
-            np.multiply(tot, tot, out=tmp)
-            s /= tmp
-            np.multiply(2.0, f, out=tmp)
-            s -= tmp
-            s += 1.0
-        if ent is not None:
-            np.log(tot, out=tot)
-            np.subtract(tot, e, out=e)
-            e /= ln_b
-        yield block[:, :m]
+        off_max, decided = bounds.off_max, _tile_verdict(bounds.tile_gap, c, d, B)
+    out = np.empty((len(keys), n))
+    if decided:
+        out[:] = fill
+        return out
+    buf = _kernel_scratch(n, B)
+    scores, mx, tot = buf[:n * B], buf[n * B:n * (B + 1)], buf[n * (B + 1):n * (B + 2)]
+    np.multiply(off_max, c, out=mx)  # max_{j>1} u_j
+    np.multiply(z[:, 0], c, out=tot)
+    tot += d  # u_1
+    if decided is None:
+        gap = np.subtract(mx, tot, out=scores[:n])
+        # a NaN or +inf anywhere, or -inf in u_1, fails the first test, and
+        # u_1 = +inf or every u_j = -inf the second (see the docstring)
+        if gap.max() <= -_decided_margin(B) and gap.min() > -math.inf:
+            out[:] = fill
+            return out
+    np.maximum(mx, tot, out=mx)
+    u = scores.reshape(n, B, order="F")
+    _scores(z, sigma, B, out=u)
+    u -= mx[:, None]
+    if i_ent is not None:
+        e = out[i_ent]
+        e[:] = u[:, 0]  # u_1 - max u, until the entropy is formed below
+    np.exp(u, out=u)
+    np.add.reduce(u, axis=1, out=tot)
+    if i_sq is not None or i_f1 is not None:
+        f = mx if i_f1 is None else out[i_f1]  # mx is spent once u is shifted
+        np.divide(u[:, 0], tot, out=f)
+    if i_sq is not None:
+        s = out[i_sq]
+        np.square(u, out=u)
+        np.add.reduce(u, axis=1, out=s)  # sum e^2
+        tmp = scores[:n]  # u is spent
+        np.multiply(tot, tot, out=tmp)
+        s /= tmp
+        np.multiply(2.0, f, out=tmp)
+        s -= tmp
+        s += 1.0
+    if i_ent is not None:
+        np.log(tot, out=tot)
+        np.subtract(tot, e, out=e)
+        e /= math.log(B)
+    return out
 
 
 @functools.cache
@@ -553,46 +548,65 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of the threads
     os.register_at_fork(after_in_child=_executor.cache_clear)
 
 
-def _moments(job, z, bounds) -> np.ndarray:
-    """(sum, sum of squares) of each per-sample statistic of job(z, bounds),
-    one row per statistic.
+def _moments(stats: np.ndarray, B: int) -> np.ndarray:
+    """The sums and sums of squares along the rows of a job's (k, tile rows)
+    array of per-sample statistics, as a (2, k) array.
 
-    The job yields its k statistics tile by tile (_tiles), as a (k, tile
-    rows) array.  Each row is summed, squared into the thread's kernel
-    scratch, idle between the kernel's tiles, and summed again, which allows
-    up to B + 2 statistics.  The tile sums are added in numpy's pairwise
-    order, whose leaves the tiles are, so each pair is v.sum() and
-    (v * v).sum() of the statistic's whole chunk v bit for bit, and no
-    chunk-long statistic is ever formed.
+    The squares go into the thread's kernel scratch, idle once the job has
+    returned, which holds them for up to B + 2 statistics.  numpy sums each
+    row of a kernel tile exactly as it sums that leaf inside its pairwise
+    tree over the chunk, so the tiles' sums added in the tree's order
+    (_pairwise_add) are v.sum() and (v * v).sum() of the statistic's whole
+    chunk v bit for bit, and no chunk-long statistic is ever formed.
     """
-    n, B = z.shape
-    square = _kernel_scratch(max(b - a for a, b in _tiles(n, B)), B)
-    add = np.add.reduce
-    leaves = []
-    for stats in job(z, bounds):
-        k, m = stats.shape
-        squares = np.square(stats, out=square[:k * m].reshape(k, m))
-        leaves.append((add(stats, axis=1), add(squares, axis=1)))
-    return (0.0 + _pairwise_add(np.array(leaves), n, B)).T
+    k, m = stats.shape
+    squares = np.square(stats, out=_kernel_scratch(m, B)[:k * m].reshape(k, m))
+    return np.array((np.add.reduce(stats, axis=1), np.add.reduce(squares, axis=1)))
+
+
+def _tile_moments(mc: MCConfig, B: int, start: int, stop: int, jobs) -> list:
+    """Per job, _moments of what it returns for rows start..stop-1 of the
+    stream, one kernel tile, drawn and bounded here once for every job.
+
+    With more than one worker, _WORKERS pool tasks share one iterator over
+    the jobs and each runs the next job it pulls, so a tile costs a few
+    futures however many jobs there are."""
+    z = gaussian_block(mc.seed, B, start, stop)
+    bounds = _row_bounds(z)
+    sums = [None] * len(jobs)
+    todo = iter(range(len(jobs)))
+
+    def run():
+        for j in todo:  # the interpreter lock hands each index to one task
+            sums[j] = _moments(jobs[j](z, bounds), B)
+
+    if _WORKERS == 1:
+        run()
+    else:
+        pool = _executor(_WORKERS)
+        for task in [pool.submit(run) for _ in range(_WORKERS)]:
+            task.result()
+    return sums
 
 
 def _stream_sums(mc: MCConfig, B: int, jobs) -> list:
-    """Per job, an (m, 2) array of the (sum, sum of squares) over the stream
-    of each of the m per-sample statistics it yields (see stream_moments)."""
-    mapper = map if _WORKERS == 1 else _executor(_WORKERS).map
-    sums = [0.0] * len(jobs)
+    """Per job, a (2, m) array of the sums and sums of squares over the
+    stream of each of the m per-sample statistics it returns (see
+    stream_moments)."""
+    total, widths = 0.0, None
     for a, b in _chunks(mc.n_samples):
-        z = gaussian_block(mc.seed, B, a, b)
-        bounds = _row_bounds(z)
-        reduced = list(mapper(functools.partial(_moments, z=z, bounds=bounds), jobs))
-        del z, bounds  # release this block before the next one is drawn
-        sums = [total + job for total, job in zip(sums, reduced)]
-    return sums
+        tiles = []
+        for ta, tb in _tiles(b - a, B):
+            sums = _tile_moments(mc, B, a + ta, a + tb, jobs)
+            widths = widths or [s.shape[1] for s in sums]
+            tiles.append(np.concatenate(sums, axis=1))
+        total = total + (0.0 + _pairwise_add(tiles, b - a, B))
+    return np.split(total, np.cumsum(widths)[:-1], axis=1)
 
 
 class Plan(NamedTuple):
     """One Monte-Carlo estimator: stream_moments jobs, and finish(means,
-    stderrs) over the statistics they yield, in job order."""
+    stderrs) over the statistics they return, in job order."""
 
     jobs: list
     finish: Callable
@@ -609,7 +623,7 @@ def stream_plans(mc: MCConfig, B: int, plans) -> list:
     sums = iter(_stream_sums(mc, B, [job for plan in plans for job in plan.jobs]))
     results = []
     for plan in plans:
-        s, s2 = np.concatenate([next(sums) for _ in plan.jobs]).T
+        s, s2 = np.concatenate([next(sums) for _ in plan.jobs], axis=1)
         means = s / n
         var = np.maximum(s2 / n - means * means, 0.0) / max(n - 1, 1)
         results.append(plan.finish(means, np.sqrt(var)))
@@ -619,44 +633,22 @@ def stream_plans(mc: MCConfig, B: int, plans) -> list:
 def stream_moments(mc: MCConfig, B: int, jobs) -> tuple:
     """Means and standard errors of per-sample statistics over the stream.
 
-    Each job maps a Gaussian block z of the (seed, n_samples) stream and its
-    row bounds to an iterable over z's kernel tiles (_tiles, in order) that
-    gives, per tile, a (k, tile rows) array whose rows are the tile's rows of
-    its k per-sample statistics, with the same k <= B + 2 on every tile; the
-    statistics are the jobs' in job order.  The caller only reads a tile's
-    array, before it asks the job for the next.  The bounds (_row_bounds: the row
-    maxima over z's off columns and one statistic per kernel tile) are
-    formed once per chunk for every job to pass to section_stats.  The jobs
-    of one chunk run concurrently; each statistic sums its tiles in numpy's
-    pairwise order and its chunks in stream order, so the result depends
-    neither on the chunking nor on the tiling nor on the worker count.  The
-    pool is made on first use, not at import.
+    The stream is walked one kernel tile at a time: the leaves of numpy's
+    pairwise summation tree over each chunk (_tiles), at most
+    _KERNEL_TILE // (B + 2) rows.  Per tile, gaussian_block draws only that
+    tile's rows, _row_bounds forms their bounds (the row maxima over z's off
+    columns and the tile statistic), and every job maps the block z and its
+    bounds to a (k, tile rows) array, outside the thread's kernel scratch,
+    whose rows are its k <= B + 2 per-sample statistics, the same k on every
+    tile; the statistics are the jobs' in job order.  The jobs of one tile run concurrently.  Each
+    statistic sums its tiles in numpy's pairwise order and its chunks in
+    stream order, so the result depends neither on the chunking nor on the
+    tiling nor on the worker count, and no chunk-long array is held: the
+    pass keeps one tile's block, a thread's kernel scratch per worker and
+    each statistic's per-tile sums.  The pool is made on first use, not at
+    import.
     """
     return stream_plans(mc, B, [Plan(jobs, lambda means, stderrs: (means, stderrs))])[0]
-
-
-def _mc_mean(params: UnderlyingParams, sigma: float, mc: MCConfig, which: str,
-             clamp: tuple) -> Estimate:
-    def job(z, bounds):
-        return section_stats(z, sigma, params.B, bounds, (which,))
-
-    means, stderrs = stream_moments(mc, params.B, [job])
-    return Estimate(value=float(min(max(means[0], clamp[0]), clamp[1])),
-                    stderr=float(stderrs[0]), n=mc.n_samples)
-
-
-def mmse_estimate(sigma_eff: float, params: UnderlyingParams, mc: MCConfig) -> Estimate:
-    """Monte-Carlo section MMSE at effective noise sigma_eff."""
-    if not sigma_eff > 0:
-        raise ValueError("sigma_eff must be positive")
-    return _mc_mean(params, sigma_eff, mc, "mmse", (0.0, 1.0 - 1.0 / params.B))
-
-
-def entropy_estimate(sigma_eff: float, params: UnderlyingParams, mc: MCConfig) -> Estimate:
-    """Monte-Carlo normalized section entropy at effective noise sigma_eff."""
-    if not sigma_eff > 0:
-        raise ValueError("sigma_eff must be positive")
-    return _mc_mean(params, sigma_eff, mc, "entropy", (0.0, 1.0))
 
 
 def isotonic_increasing(y: np.ndarray) -> np.ndarray:

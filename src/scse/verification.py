@@ -186,11 +186,10 @@ def _nishimori_plan(params: UnderlyingParams, mc: MCConfig) -> Plan:
     sigs = [sigma_underlying(float(E), params) for E in NISHIMORI_E_GRID]
 
     def point(z, bounds, sig):
-        for rows in section_stats(z, sig, params.B, bounds, ("mmse", "f1")):
-            m, f1 = rows
-            np.subtract(1.0, f1, out=f1)
-            m -= f1
-            yield rows[:1]
+        m, f1 = rows = section_stats(z, sig, params.B, bounds, ("mmse", "f1"))
+        np.subtract(1.0, f1, out=f1)
+        m -= f1
+        return rows[:1]
 
     def finish(means, stderrs):
         n = mc.n_samples
@@ -237,11 +236,10 @@ def _i_mmse_plan(params: UnderlyingParams, coefficient: float | None = None) -> 
                                     (("p", h), ("m", -h), ("p2", h / 2), ("m2", -h / 2))}))
 
     def point(z, bounds, sig, sigs):
-        # three statistics per point, formed tile by tile in place on the
-        # kernel's rows and stacked: D = slope + c*mmse, and the slope at
-        # steps h and h/2
+        # three statistics per point, formed in place on the kernel's rows
+        # and stacked: D = slope + c*mmse, and the slope at steps h and h/2
         def stat(key, at):
-            return section_stats(z, at, params.B, bounds, (key,))
+            return section_stats(z, at, params.B, bounds, (key,))[0]
 
         def slope(up, down, step):
             up -= down
@@ -249,13 +247,12 @@ def _i_mmse_plan(params: UnderlyingParams, coefficient: float | None = None) -> 
             up /= step
             return up
 
-        for (up,), (down,), (m,), (up2,), (down2,) in zip(
-                stat("entropy", sigs["p"]), stat("entropy", sigs["m"]), stat("mmse", sig),
-                stat("entropy", sigs["p2"]), stat("entropy", sigs["m2"])):
-            slope_h = slope(up, down, 2.0 * h)
-            m *= coefficient
-            m += slope_h
-            yield np.array((m, slope_h, slope(up2, down2, h)))
+        up, down, m = stat("entropy", sigs["p"]), stat("entropy", sigs["m"]), stat("mmse", sig)
+        up2, down2 = stat("entropy", sigs["p2"]), stat("entropy", sigs["m2"])
+        slope_h = slope(up, down, 2.0 * h)
+        m *= coefficient
+        m += slope_h
+        return np.array((m, slope_h, slope(up2, down2, h)))
 
     def finish(means, stderrs):
         details = []

@@ -17,11 +17,22 @@ def _set_layout(mp, workers, tile):
     mp.setattr(denoiser, "_KERNEL_TILE", tile)
 
 
+def tile_bounds(z, B) -> list:
+    """_row_bounds of each kernel tile of z (denoiser._tiles), as the
+    Monte-Carlo pass forms them for a chunk z."""
+    return [denoiser._row_bounds(z[a:b]) for a, b in denoiser._tiles(len(z), B)]
+
+
 def full_stats(z, sigma, B, bounds=None, keys=("mmse", "entropy", "f1")) -> dict:
-    """section_stats over z, its tiles copied out and joined into one row per
-    statistic, keyed by name in keys' order."""
-    tiles = [rows.copy() for rows in denoiser.section_stats(z, sigma, B, bounds, keys)]
-    return dict(zip(keys, np.hstack(tiles)))
+    """section_stats on each kernel tile of z, one call per tile as the
+    Monte-Carlo pass makes them (with each tile's entry of bounds, a
+    tile_bounds list), joined into one row per statistic, keyed by name in
+    keys' order."""
+    tiles = denoiser._tiles(len(z), B)
+    bounds = [None] * len(tiles) if bounds is None else bounds
+    parts = [denoiser.section_stats(z[a:b], sigma, B, bnd, keys)
+             for (a, b), bnd in zip(tiles, bounds, strict=True)]
+    return dict(zip(keys, np.hstack(parts)))
 
 
 @contextlib.contextmanager
@@ -37,14 +48,15 @@ def serial_untiled():
                         (2, 147456), (3, 20000)],
                 ids=lambda p: f"workers{p[0]}-tile{p[1]}")
 def mc_layout(request, monkeypatch):
-    """Worker count and tile (elements) of the Monte-Carlo loops.  The kernel
+    """Worker count and tile (elements) of the Monte-Carlo loops.  The pass
     walks the leaves of numpy's pairwise summation tree over each chunk, at
-    most _KERNEL_TILE // (B + 2) rows: on a full chunk 2048, 4096, 8192 and
-    1024 rows at B=16 for the tiles 65536, 80000, 147456 and 20000 (8192,
-    8192, 16384 and 2048 at B=4), on the 4465-row last chunk of
-    MC_TWO_CHUNKS 2232 and 2233 rows, or one leaf, or 552 to 561 rows.  The
-    sampler draws _KERNEL_TILE // (4 B) rows at a time, 1024, 1250, 2304 and
-    312 at B=16, and of these only 1024 divides the chunk.  3 workers do not
+    most _KERNEL_TILE // (B + 2) rows, and draws, bounds and runs every job
+    on one leaf at a time: on a full chunk 2048, 4096, 8192 and 1024 rows at
+    B=16 for the tiles 65536, 80000, 147456 and 20000 (8192, 8192, 16384 and
+    2048 at B=4), on the 4465-row last chunk of MC_TWO_CHUNKS 2232 and 2233
+    rows, or one leaf, or 552 to 561 rows.  Within a leaf the sampler draws
+    _KERNEL_TILE // (8 B) rows at a time, 512, 625, 1152 and 156 at B=16,
+    and of these only 512 divides a full chunk's leaves.  3 workers do not
     divide a table's 16 node jobs."""
     _set_layout(monkeypatch, *request.param)
     return request.param

@@ -1,14 +1,19 @@
 """Independent oracles used by the test suite.
 
-Everything here is written against the mathematical definitions directly,
-with plain (non-log-domain) arithmetic and quadrature instead of Monte Carlo,
-so it shares no code path with the package under test.
+Everything here but the single-point Monte-Carlo estimates at the end is
+written against the mathematical definitions directly, with plain
+(non-log-domain) arithmetic and quadrature instead of Monte Carlo, so it
+shares no code path with the package under test.  The estimates are one
+stream_moments job each, for tests that read one Sigma at a time.
 """
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from scse import denoiser
 
 
 @functools.lru_cache(maxsize=None)
@@ -384,3 +389,33 @@ def floor_jump_rate(table, sigma2, R_lo, R_hi, jump, tol_R):
                     lo, E_lo = mid, floor(mid)
             return 0.5 * (lo + hi)
     return None
+
+
+@dataclass(frozen=True)
+class Estimate:
+    value: float
+    stderr: float
+    n: int
+
+
+def _mc_mean(params, sigma, mc, which, clamp):
+    def job(z, bounds):
+        return denoiser.section_stats(z, sigma, params.B, bounds, (which,))
+
+    means, stderrs = denoiser.stream_moments(mc, params.B, [job])
+    return Estimate(value=float(min(max(means[0], clamp[0]), clamp[1])),
+                    stderr=float(stderrs[0]), n=mc.n_samples)
+
+
+def mmse_estimate(sigma_eff, params, mc):
+    """Monte-Carlo section MMSE at effective noise sigma_eff."""
+    if not sigma_eff > 0:
+        raise ValueError("sigma_eff must be positive")
+    return _mc_mean(params, sigma_eff, mc, "mmse", (0.0, 1.0 - 1.0 / params.B))
+
+
+def entropy_estimate(sigma_eff, params, mc):
+    """Monte-Carlo normalized section entropy at effective noise sigma_eff."""
+    if not sigma_eff > 0:
+        raise ValueError("sigma_eff must be positive")
+    return _mc_mean(params, sigma_eff, mc, "entropy", (0.0, 1.0))

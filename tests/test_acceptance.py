@@ -17,14 +17,14 @@ import numpy as np
 import pytest
 
 from conftest import full_stats
-from oracles import b2_entropy_quad, b2_mmse_quad
+from oracles import b2_entropy_quad, b2_mmse_quad, entropy_estimate, mmse_estimate
 from scse import (CoupledParams, DEGRADED_EQUAL, ErrorProfile, MCConfig,
                   STRICTLY_DEGRADED, UnderlyingParams,
                   amp_threshold_underlying, build_coupling_matrix,
-                  build_tables, capacity, entropy_estimate,
+                  build_tables, capacity,
                   fixed_point_tolerance, is_degraded, iterate_coupled,
                   iterate_underlying, large_B_limits, make_design,
-                  mmse_estimate, ones_profile,
+                  ones_profile,
                   potential_coupled, potential_energy_underlying,
                   potential_threshold, rectangular_design, saturate_profile,
                   se_step_coupled, shift, sigma_underlying)

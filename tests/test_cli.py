@@ -11,7 +11,7 @@ from scse import (CoupledParams, ErrorProfile, MCConfig, UnderlyingParams,
                   build_coupling_matrix, build_tables, capacity, gaussian_block,
                   iterate_coupled, iterate_underlying, ones_profile, pinned_rows,
                   rectangular_design, se_step_coupled, se_step_underlying)
-from scse.cli import main
+from scse.cli import RunConfig, main
 
 FAST = ["--samples", "4000", "--n-points", "32"]
 
@@ -133,17 +133,18 @@ def test_verify_passes_at_default_rate(tmp_path, capsys):
 
 def test_verify_draws_each_gaussian_row_once(tmp_path, monkeypatch, counted_builds):
     # the tables and both identity checks share one pass over the stream:
-    # a chunk and a tail, each drawn once
+    # the kernel tiles of a chunk (two halves at B=2) and the tail, each
+    # drawn once, in stream order
     from scse import denoiser
     drawn = []
 
     def counting(seed, B, start, stop):
-        drawn.append(stop - start)
+        drawn.append((start, stop))
         return gaussian_block(seed, B, start, stop)
 
     monkeypatch.setattr(denoiser, "gaussian_block", counting)
     assert _run(tmp_path, "verify", "--B", "2", "--samples", "70001", "--n-points", "32") == 0
-    assert sum(drawn) == 70_001 and len(drawn) == 2
+    assert drawn == [(0, 32768), (32768, 65536), (65536, 70_001)]
     assert counted_builds == []
 
 
@@ -352,6 +353,19 @@ def test_sweep_single_section_size(tmp_path):
     cfg, header, rows = _read_csv(tmp_path / "sweep.csv")
     assert header == "B,snr,Gamma,w,R_u,R_pot,R_c,C"
     assert len(rows) == 1 and rows[0].split(",")[0] == "4"
+
+
+def test_sweep_config_records_the_sizes_swept(tmp_path):
+    # sweep.csv's config line once recorded the unused --B (2 by default)
+    # and never named the sizes swept; every other field is the run's config
+    assert main(["sweep", "--B-list", "4,16", "--tol-R", "0.1", "--gamma", "48", "--w", "2",
+                 "--samples", "2000", "--n-points", "32", "--outdir", str(tmp_path)]) == 0
+    cfg, _, rows = _read_csv(tmp_path / "sweep.csv")
+    assert cfg["B_list"] == [4, 16] and "B" not in cfg
+    assert [row.split(",")[0] for row in rows] == ["4", "16"]
+    assert {k: v for k, v in cfg.items() if k != "B_list"} == {
+        k: v for k, v in RunConfig(samples=2000, tol_R=0.1, Gamma=48, w=2, n_points=32,
+                                   outdir=str(tmp_path)).to_dict().items() if k != "B"}
 
 
 def test_sweep_keeps_the_sizes_that_solve(tmp_path, capsys):

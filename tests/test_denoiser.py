@@ -15,17 +15,17 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from scse import (MCConfig, MonotoneTable, UnderlyingParams, build_tables,
-                  capacity, default_n_samples, denoiser, entropy_estimate,
-                  gaussian_block, isotonic_increasing, mmse_estimate,
-                  sigma_underlying)
+                  capacity, default_n_samples, denoiser, gaussian_block,
+                  isotonic_increasing, sigma_underlying)
 from scse.denoiser import _scores, default_sigma_span, section_stats, stream_moments
 from scse.ensemble import RATE_CAP, RATE_FLOOR
 from scse.verification import I_MMSE_H, I_MMSE_SIGMA_GRID, NISHIMORI_E_GRID
 
-from conftest import MC_TWO_CHUNKS, SIGMA2, full_stats, serial_untiled
+from conftest import MC_TWO_CHUNKS, SIGMA2, full_stats, serial_untiled, tile_bounds
 
 from oracles import (b2_entropy_quad, b2_mmse_quad, b2_posterior_weight_quad,
-                     denoise_section, direct_softmax_denoiser, pav_brute_force)
+                     denoise_section, direct_softmax_denoiser, entropy_estimate,
+                     mmse_estimate, pav_brute_force)
 
 # Quadrature reference values at B=2 (64-node Gauss-Hermite; stable to
 # ~1e-13 against 127 nodes).
@@ -65,7 +65,7 @@ def test_gaussian_block_column_major_same_values(monkeypatch):
     # many tiles it is drawn in
     words = np.random.Generator(np.random.Philox(key=3)).random(100 * 4)
     expected = ndtri(np.maximum(words.reshape(100, 4), 1e-300))
-    for tile in (131072, 112):  # one tile, and tiles of 7 rows
+    for tile in (131072, 224):  # one tile, and tiles of 7 rows
         monkeypatch.setattr(denoiser, "_KERNEL_TILE", tile)
         for start, stop in ((0, 100), (37, 100), (5, 6)):
             z = gaussian_block(3, 4, start, stop)
@@ -212,16 +212,17 @@ def _assert_same_stats(got, want):
 
 def test_section_stats_outputs_are_fresh():
     # the thread's scratch is reused across calls and tiles; a call's rows
-    # never are, so two calls walked side by side, as the I-MMSE job walks
-    # five, leave each other's rows, z and the scratch alone
+    # never are, so two calls on a tile, as the I-MMSE job makes five, leave
+    # each other's rows, z and the scratch alone
     z = gaussian_block(3, 16, 0, 40_000)
     before = z.copy()
     want = [full_stats(z, sigma, 16) for sigma in (0.5, 0.7)]
     tiles = denoiser._tiles(len(z), 16)
     assert len(tiles) > 1
     scratch = denoiser._kernel_scratch(max(b - a for a, b in tiles), 16)
-    walk = zip(tiles, section_stats(z, 0.5, 16), section_stats(z, 0.7, 16), strict=True)
-    for (a, b), first, second in walk:
+    for a, b in tiles:
+        first, second = (section_stats(z[a:b], sigma, 16) for sigma in (0.5, 0.7))
+        assert denoiser._kernel_scratch(b - a, 16) is scratch
         for rows, full in zip((first, second), want):
             assert rows.shape == (3, b - a)
             assert not np.shares_memory(rows, z)
@@ -236,10 +237,11 @@ def test_section_stats_outputs_are_fresh():
 @pytest.mark.parametrize("B", [2, 16])
 def test_section_stats_selected_keys_bit_identical(B):
     # every ordered choice of statistics gives the full call's bits, each
-    # tile as the rows of the call's one (len(keys), rows) block, on decided,
-    # mixed and undecided tiles, with and without the chunk's bounds
+    # tile's call as the rows of its own new (len(keys), rows) array, on
+    # decided, mixed and undecided tiles, with and without the tiles' bounds
     z = gaussian_block(4, B, 0, 30_001)
-    bounds = denoiser._row_bounds(z)
+    tiles = denoiser._tiles(len(z), B)
+    bounds = tile_bounds(z, B)
     keys_all = ("mmse", "entropy", "f1")
     for sigma in (0.02, 0.1, 0.3, 1.0, 2.5):
         want = full_stats(z, sigma, B)
@@ -247,12 +249,11 @@ def test_section_stats_selected_keys_bit_identical(B):
         for k in (1, 2, 3):
             for keys in itertools.permutations(keys_all, k):
                 for bnd in (None, bounds):
-                    blocks, parts = set(), []
-                    for rows in section_stats(z, sigma, B, bnd, keys):
-                        assert rows.shape[0] == k and rows.base.shape[0] == k
-                        blocks.add(id(rows.base))
-                        parts.append(rows.copy())
-                    assert len(blocks) == 1
+                    parts = []
+                    for (a, b), tile_bnd in zip(tiles, bnd or [None] * len(tiles)):
+                        rows = section_stats(z[a:b], sigma, B, tile_bnd, keys)
+                        assert rows.shape == (k, b - a) and rows.flags.owndata
+                        parts.append(rows)
                     got = dict(zip(keys, np.hstack(parts)))
                     _assert_same_bits(got, {key: want[key] for key in keys})
     for keys in (("mmse", "mmse"), ("f2",), ("entropy", "f1", "mmse", "f1")):
@@ -261,8 +262,8 @@ def test_section_stats_selected_keys_bit_identical(B):
 
 
 def test_section_stats_alternating_B_matches_untiled():
-    # every change of B or of the row count makes the thread's scratch anew.
-    # At the default kernel tile, 40000 rows split into leaves of unequal
+    # calls of changing B and row count grow and shrink the thread's
+    # scratch.  At the default kernel tile, 40000 rows split into leaves of unequal
     # size at B=32 (2496 and 2504 rows) and of 20000, 20000 and 5000 rows at
     # B = 2, 4 and 16, and 3000 rows fit in one tile larger than the block at
     # every B
@@ -338,7 +339,7 @@ def test_decided_tiles_bit_identical(mc_layout, monkeypatch, B):
     # and with the chunk's tile statistic.  The sweep runs across the table
     # grid at snr 15, at the layout's kernel tile
     z = gaussian_block(13, B, 0, 30_001)
-    bounds = denoiser._row_bounds(z)
+    bounds = tile_bounds(z, B)
     start = z.ctypes.data
     tiles = denoiser._tiles(z.shape[0], B)
     kinds = set()
@@ -474,15 +475,17 @@ def _bounds_block(B):
 @pytest.mark.parametrize("B", [2, 4, 16, 32, 64])
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_chunk_row_bounds_bit_identical(monkeypatch, B):
-    # section_stats with the chunk's row bounds against bounds=None, across
+    # section_stats with the tiles' row bounds against bounds=None, across
     # the table grid, at a tiny sigma and at sigma = 1, on a block holding
     # NaN, +inf and -inf and rows whose transmitted score is far from the max
     monkeypatch.setattr(denoiser, "_KERNEL_TILE", _BOUNDS_TILE * (B + 2))
     z = _bounds_block(B)
-    bounds = denoiser._row_bounds(z)
-    assert bounds.off_max.shape == (len(z),) and bounds.tile_gap.shape == (16,)
+    bounds = tile_bounds(z, B)
+    assert len(bounds) == 16
+    for (a, b), bnd in zip(denoiser._tiles(len(z), B), bounds, strict=True):
+        assert bnd.off_max.shape == (b - a,) and type(bnd.tile_gap) is float
     # a non-finite entry, or a |z| of 1000, leaves its tile to the row test
-    assert np.flatnonzero(np.isnan(bounds.tile_gap)).tolist() == [1, 3, 5, 7, 8]
+    assert [k for k, bnd in enumerate(bounds) if math.isnan(bnd.tile_gap)] == [1, 3, 5, 7, 8]
     before = z.copy()
     span = default_sigma_span(UnderlyingParams(B=B, R=1.0, sigma2=SIGMA2))
     ran = set()
@@ -551,17 +554,17 @@ def test_tile_statistic_census(census_cases):
     counts = {True: 0, False: 0, None: 0}
     bounds = {}
     for z, sigma, B in census_cases:
-        chunk = bounds.setdefault(id(z), denoiser._row_bounds(z))
+        chunk = bounds.setdefault(id(z), tile_bounds(z, B))
         c, d = denoiser._score_scales(sigma, B)
-        u1 = np.multiply(z[:, 0], c)
-        u1 += d
-        gap = np.multiply(chunk.off_max, c) - u1  # the row test's bound, as the kernel forms it
         margin = -denoiser._decided_margin(B)
-        verdicts = denoiser._tile_verdicts(chunk.tile_gap, c, d, B)
-        for (a, b), verdict in zip(denoiser._tiles(len(z), B), verdicts, strict=True):
+        for (a, b), tile in zip(denoiser._tiles(len(z), B), chunk, strict=True):
+            verdict = denoiser._tile_verdict(tile.tile_gap, c, d, B)
             counts[verdict] += 1
             if verdict is not None:
-                exact = gap[a:b].max() <= margin and gap[a:b].min() > -math.inf
+                u1 = np.multiply(z[a:b, 0], c)
+                u1 += d
+                gap = np.multiply(tile.off_max, c) - u1  # the row test's bound, as the kernel forms it
+                exact = gap.max() <= margin and gap.min() > -math.inf
                 assert verdict == exact, (B, sigma, a)
     share = counts[None] / sum(counts.values())
     assert counts[True] > 1000 and counts[False] > 1000 and share < 0.01, (counts, share)
@@ -573,8 +576,8 @@ def test_tile_statistic_census(census_cases):
 def test_tile_sums_add_up_to_numpy_sum(n, budget, B, seed):
     # the identity _moments rests on: for any n and tile budget, _tiles'
     # leaves partition [0, n), and their np.sums added in tree order are
-    # np.sum of the whole array bit for bit, for v and for v*v; _moments
-    # then gives v.sum() and (v * v).sum() from v's tiles
+    # np.sum of the whole array bit for bit, for v and for v*v; _moments of
+    # v's tiles, added so, then give v.sum() and (v * v).sum()
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n) * np.exp(rng.uniform(-20.0, 20.0, n))
     with pytest.MonkeyPatch.context() as mp:
@@ -585,20 +588,20 @@ def test_tile_sums_add_up_to_numpy_sum(n, budget, B, seed):
         for x in (v, v * v):
             got = 0.0 + denoiser._pairwise_add([np.sum(x[a:b]) for a, b in tiles], n, B)
             assert got.tobytes() == np.sum(x).tobytes()
-        z = np.broadcast_to(0.0, (n, B))  # _moments reads only its shape
-        sums = denoiser._moments(lambda z, bounds: (v[None, a:b] for a, b in tiles), z, None)
-    assert sums.tobytes() == np.array([[v.sum(), (v * v).sum()]]).tobytes()
+        sums = 0.0 + denoiser._pairwise_add(
+            [denoiser._moments(v[None, a:b], B) for a, b in tiles], n, B)
+    assert sums.tobytes() == np.array([[v.sum()], [(v * v).sum()]]).tobytes()
 
 
 def test_stream_plans_hands_each_plan_its_own_jobs():
     # plans of one, two and three statistics per job share one pass; each
     # finish step gets exactly a stream_moments pass over its own jobs
     mc = MCConfig(seed=0, n_samples=100)
-    assert len(denoiser._tiles(100, 2)) == 1  # so each job yields one tile
-    jobs = [[lambda z, bounds: [np.array([z[:, 0]])]],
-            [lambda z, bounds: [np.array([z[:, 1], bounds.off_max])],
-             lambda z, bounds: [np.array([z[:, 1] - bounds.off_max])]],
-            [lambda z, bounds: [np.array([z[:, 0] * z[:, 1], z[:, 1], z[:, 0]])]]]
+    assert len(denoiser._tiles(100, 2)) == 1  # so each job sees the whole stream at once
+    jobs = [[lambda z, bounds: np.array([z[:, 0]])],
+            [lambda z, bounds: np.array([z[:, 1], bounds.off_max]),
+             lambda z, bounds: np.array([z[:, 1] - bounds.off_max])],
+            [lambda z, bounds: np.array([z[:, 0] * z[:, 1], z[:, 1], z[:, 0]])]]
     got = denoiser.stream_plans(mc, 2, [denoiser.Plan(j, lambda m, s: (m, s)) for j in jobs])
     for (means, stderrs), own in zip(got, jobs):
         want_means, want_stderrs = stream_moments(mc, 2, own)
@@ -780,8 +783,7 @@ def test_common_random_numbers_smooth_differences(params_b2, mc_small, tables_b2
 
     def difference(z, bounds):
         lo, hi = (section_stats(z, float(s), params_b2.B, bounds, ("mmse",)) for s in g[k:k + 2])
-        for mmse_lo, mmse_hi in zip(lo, hi):
-            yield mmse_hi - mmse_lo
+        return hi - lo
 
     _, (diff_stderr,) = stream_moments(mc_small, params_b2.B, [difference])
     independent = math.hypot(mmse_t.stderrs[k], mmse_t.stderrs[k + 1])
@@ -824,8 +826,8 @@ def test_estimates_independent_of_workers_and_tiles(mc_layout, serial_untiled_es
 
 
 def test_build_tables_one_kernel_call_per_node(monkeypatch):
-    # each chunk's jobs evaluate every grid node once, whatever the workers,
-    # and ask the kernel for the two statistics a table reads
+    # each kernel tile's jobs evaluate every grid node once, whatever the
+    # workers, and ask the kernel for the two statistics a table reads
     calls = []
 
     def counting(z, sigma, B, bounds, keys):
@@ -837,7 +839,9 @@ def test_build_tables_one_kernel_call_per_node(monkeypatch):
     monkeypatch.setattr(denoiser, "section_stats", counting)
     mmse_t, _ = build_tables(UnderlyingParams(B=4, R=1.5, sigma2=1 / 15), MC_TWO_CHUNKS,
                              n_points=16)
-    assert sorted(calls) == sorted(2 * list(mmse_t.sigma_grid))
+    tiles = sum(len(denoiser._tiles(b - a, 4)) for a, b in denoiser._chunks(70_001))
+    assert tiles == 5  # four 16384-row leaves of the full chunk, one for the tail
+    assert sorted(calls) == sorted(tiles * list(mmse_t.sigma_grid))
 
 
 # sha256 of values, stderrs and coarse (in that order) of each table, seed 1
@@ -896,6 +900,26 @@ def test_build_tables_b4_memory(monkeypatch):
         tracemalloc.stop()
     row = 65536 * 8  # bytes of one 65536-row array
     assert peak < 4 * row + 8 * denoiser._KERNEL_TILE + row * 7 // 8, peak
+
+
+@pytest.mark.parametrize("B,n_samples", [(16, 65536), (1024, 4096)])
+def test_build_tables_memory_bounded_in_B(monkeypatch, B, n_samples):
+    # one worker in a fresh thread, as above: the pass holds one kernel
+    # tile's Gaussian block, its sampler's words and the thread's kernel
+    # scratch, each about _KERNEL_TILE doubles at any B, and no chunk-long
+    # block, which is 8 MiB at B=16 and 32 MiB at B=1024 with 4096 rows
+    monkeypatch.setattr(denoiser, "_WORKERS", 1)
+    p, mc = UnderlyingParams(B=B, R=1.5, sigma2=1 / 15), MCConfig(seed=0, n_samples=n_samples)
+    build_tables(p, mc, n_points=16)  # first-call work outside the trace
+    thread = threading.Thread(target=build_tables, args=(p, mc, 16))
+    tracemalloc.start()
+    try:
+        thread.start()
+        thread.join()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * denoiser._KERNEL_TILE, peak
 
 
 def test_estimate_stderr_scales_with_n():

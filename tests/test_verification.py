@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from scse import (CoupledParams, ErrorProfile, MCConfig, UnderlyingParams,
-                  build_coupling_matrix, build_tables, denoiser, entropy_estimate,
-                  iterate_coupled, iterate_underlying, mmse_estimate, ones_profile,
-                  rectangular_design, saturate_profile, shift, triangular_design)
+                  build_coupling_matrix, build_tables, denoiser, iterate_coupled,
+                  iterate_underlying, ones_profile, rectangular_design,
+                  saturate_profile, shift, triangular_design)
 from scse.verification import (LemmaReport, coupled_chain, i_mmse_report,
                                nishimori_report, run_suite, shift_potential_scaling,
                                theorem1_experiment, verify_basin_exclusion,
                                verify_smoothness, verify_telescoping)
 
 from conftest import MC_TWO_CHUNKS, serial_untiled
+from oracles import entropy_estimate, mmse_estimate
 
 SIGMA2 = 1.0 / 15.0
 
@@ -239,10 +240,9 @@ def test_nishimori_catches_planted_sign_error(params_b4, monkeypatch):
 
     def flipped(z, sigma, B, bounds, keys):
         assert keys == ("mmse", "f1")
-        for rows in real(z, sigma, B, bounds, keys):
-            mmse, f1 = rows
-            mmse += 4.0 * f1  # sign error on the -2 f1 term
-            yield rows
+        mmse, f1 = rows = real(z, sigma, B, bounds, keys)
+        mmse += 4.0 * f1  # sign error on the -2 f1 term
+        return rows
 
     monkeypatch.setattr(verification, "section_stats", flipped)
     rep = nishimori_report(params_b4, MCConfig(seed=0, n_samples=20_000))
